@@ -369,10 +369,7 @@ fn cmd_query_shards(p: &ParsedArgs, dir: &str) -> Result<(), String> {
             None => println!("  ({pv},{qv}) is not an edge of C"),
         }
     }
-    if matches!(
-        source,
-        AnswerSource::CrossCheck | AnswerSource::CrossCheckSampled(_)
-    ) {
+    if source.cross_check_rate().is_some() {
         crosscheck_verdict(&engine)?;
     }
     Ok(())
@@ -444,10 +441,7 @@ fn cmd_path(p: &ParsedArgs) -> Result<(), String> {
             println!("unreachable");
         }
     }
-    if matches!(
-        source,
-        AnswerSource::CrossCheck | AnswerSource::CrossCheckSampled(_)
-    ) {
+    if source.cross_check_rate().is_some() {
         crosscheck_verdict(&engine)?;
     }
     Ok(())
@@ -735,11 +729,10 @@ fn cmd_serve_listen(
             report.job_validation_failures
         ));
     }
-    match opts.source {
-        AnswerSource::CrossCheck | AnswerSource::CrossCheckSampled(_) => {
-            crosscheck_verdict(&engine)
-        }
-        _ => Ok(()),
+    if opts.source.cross_check_rate().is_some() {
+        crosscheck_verdict(&engine)
+    } else {
+        Ok(())
     }
 }
 
@@ -806,10 +799,7 @@ fn cmd_serve(p: &ParsedArgs) -> Result<(), String> {
             eprintln!("{}", rep.shard_summary());
         }
     }
-    if matches!(
-        opts.source,
-        AnswerSource::CrossCheck | AnswerSource::CrossCheckSampled(_)
-    ) {
+    if opts.source.cross_check_rate().is_some() {
         crosscheck_verdict(&engine)?;
     }
     if failed > 0 {

@@ -7,6 +7,7 @@
 //! *in input order* plus an aggregate [`QueryStats`] report.
 
 use crate::engine::{AnswerSource, ServeEngine, ServeError};
+use crate::http::Request;
 use kron_stream::json::Json;
 use rayon::prelude::*;
 use std::time::{Duration, Instant};
@@ -41,25 +42,9 @@ impl Query {
     pub fn parse(line: &str) -> Result<Query, String> {
         let mut tok = line.split_whitespace();
         let kw = tok.next().ok_or("empty query")?;
-        let mut arg = |name: &str| -> Result<u64, String> {
-            let raw = tok
-                .next()
-                .ok_or_else(|| format!("{kw}: missing <{name}>"))?;
-            // The server echoes these errors to remote clients, so
-            // distinguish a number that is simply too large from a token
-            // that is not a number at all.
-            raw.parse().map_err(|e: std::num::ParseIntError| {
-                if *e.kind() == std::num::IntErrorKind::PosOverflow {
-                    format!(
-                        "{kw}: <{name}> {raw:?} overflows the vertex id range \
-                         (max {})",
-                        u64::MAX
-                    )
-                } else {
-                    format!("{kw}: <{name}> must be a vertex id (got {raw:?})")
-                }
-            })
-        };
+        // The server echoes these errors to remote clients, so a number
+        // that is simply too large is told apart from a non-number.
+        let mut arg = |name: &str| crate::path::parse_u64_param(kw, name, "vertex id", tok.next());
         let q = match kw {
             "degree" => Query::Degree(arg("v")?),
             "neighbors" => Query::Neighbors(arg("v")?),
@@ -102,6 +87,17 @@ impl std::fmt::Display for Query {
             Query::EdgeTriangles(u, v) => write!(f, "tri_edge {u} {v}"),
         }
     }
+}
+
+/// The query of a `GET /query?q=…` request, with the error text the
+/// node and the router both answer `400` with.
+pub(crate) fn parse_query_param(req: &Request) -> Result<Query, String> {
+    Query::parse(req.query_param("q").ok_or("missing query parameter q")?)
+}
+
+/// The queries of a `POST /batch` body, likewise.
+pub(crate) fn parse_batch_body(req: &Request) -> Result<Vec<Query>, String> {
+    parse_queries(std::str::from_utf8(&req.body).map_err(|_| "body is not UTF-8")?)
 }
 
 /// Parse a whole query file: one query per line, blank lines and lines

@@ -1,11 +1,10 @@
 //! A sharded LRU of hot decoded rows, plus per-shard routing statistics.
 //!
-//! The artifact path is zero-copy — every row is a `&[u64]` slice out of a
-//! memory mapping — so a cache cannot make a *warm* page faster. What it
-//! buys is the expensive-fetch cases the serving tier actually sees:
-//! mapped pages evicted under memory pressure, artifacts on slow or
-//! network-attached storage, and (in a future multi-node tier) rows whose
-//! shard lives on another node entirely. Triangle queries re-fetch the
+//! A v1 row is a zero-copy `&[u64]` slice out of a memory mapping, so a
+//! cache cannot make it faster and the engine never admits one. What it
+//! buys is the rows that cost something to produce: rows whose shard
+//! lives on another node (one HTTP round trip each) and rows decoded out
+//! of a csr2 shard's varint stream. Triangle queries re-fetch the
 //! rows of high-degree hub vertices over and over (every `tri_vertex v`
 //! touches all of `N(v)`, and hubs appear in many neighborhoods), so a
 //! small LRU of owned `Arc<[u64]>` copies pins exactly the rows a skewed

@@ -1,5 +1,6 @@
 //! Multi-node shard-subset serving: peer specs, replica-aware shard →
-//! peer resolution, and the remote-row client with failover.
+//! peer resolution, and the one replica client with failover that both
+//! a node's remote-row fetcher and the router ([`crate::router`]) use.
 //!
 //! One machine stops being enough exactly when the paper's products get
 //! interesting: a trillion-entry CSR run directory does not fit one
@@ -30,12 +31,15 @@
 //!   rejection names the first uncovered shard).
 //!
 //! Peers are contacted lazily (first non-resident row fetch), so nodes
-//! can start in any order. A failed fetch (connect error, timeout, 5xx,
-//! or a malformed row body) transparently **fails over** to the next
-//! replica; per-peer consecutive-failure counters drive **health
-//! ejection** (`PeerHealth`): after `EJECT_AFTER` (3) consecutive
-//! failures a peer is marked down and skipped until a `GET /healthz`
-//! probe — allowed no sooner than a backoff that starts at
+//! can start in any order. Every call to a peer — a node's `/row`
+//! fetch or a router's forward — goes through one `Replica` (address,
+//! capped keep-alive pool, `PeerHealth`) and one `failover` loop, which
+//! differ per caller only in how an answer is classified: a failed call
+//! (connect error, timeout, 5xx, or a malformed row body) transparently
+//! **fails over** to the next replica; per-peer consecutive-failure
+//! counters drive **health ejection**: after `EJECT_AFTER` (3)
+//! consecutive failures a peer is marked down and skipped until a `GET
+//! /healthz` probe — allowed no sooner than a backoff that starts at
 //! `PROBE_BACKOFF_INITIAL` (500 ms) and doubles to `PROBE_BACKOFF_MAX`
 //! (8 s) — succeeds again. Fetched rows flow through the engine's hot-row
 //! [`crate::RowCache`] when one is configured — remote rows are exactly
@@ -56,6 +60,7 @@
 use crate::engine::ServeError;
 use crate::http::Client;
 use kron_stream::json::Json;
+use std::io;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -277,89 +282,210 @@ impl PeerHealth {
             .store(self.now_ms() + doubled, Ordering::Relaxed);
     }
 
-    /// The `/stats` `peers[]` health fields, in their normative order
-    /// (`up`, `fetches`, `failovers`, `ejections`).
-    pub(crate) fn stats_fields(&self) -> Vec<(&'static str, Json)> {
-        vec![
-            ("up", Json::Bool(self.is_up())),
-            ("fetches", Json::num(self.fetches.load(Ordering::Relaxed))),
-            (
-                "failovers",
-                Json::num(self.failovers.load(Ordering::Relaxed)),
-            ),
-            (
-                "ejections",
-                Json::num(self.ejections.load(Ordering::Relaxed)),
-            ),
-        ]
-    }
-
     #[cfg(test)]
     pub(crate) fn failovers(&self) -> u64 {
         self.failovers.load(Ordering::Relaxed)
     }
 }
 
-/// One `GET /healthz` round trip on a fresh connection; `true` iff the
-/// peer answered 200 within `timeout`.
-pub(crate) fn probe_healthz(addr: &str, timeout: Duration) -> bool {
-    Client::connect_timeout(addr, timeout)
-        .and_then(|mut c| c.get("/healthz"))
-        .map(|(status, _)| status == 200)
-        .unwrap_or(false)
+/// Idle keep-alive connections kept per replica (capped: the router's
+/// re-discovery seeds one per tick).
+const POOL_CAP: usize = 8;
+
+/// One peer node as the node-side row fetcher and the router both see
+/// it: address, the label failure text names it by (`a..b=ADDR` on a
+/// node, `ADDR` on the router), a pool of idle keep-alive connections
+/// (concurrent callers fan out over parallel connections), and health.
+pub(crate) struct Replica {
+    pub(crate) addr: String,
+    label: String,
+    timeout: Duration,
+    pool: Mutex<Vec<Client>>,
+    pub(crate) health: PeerHealth,
+}
+
+/// What a replica's answer means for [`failover`].
+pub(crate) enum Verdict<T> {
+    /// Served: record a success and return `T`.
+    Done(T),
+    /// Answered but could not serve (5xx, malformed body): record a
+    /// failure and try the next replica.
+    FailOver(String),
+    /// Deterministic, so every replica would repeat it: end the call
+    /// with this error, no health change.
+    Stop(String),
+}
+
+impl Replica {
+    pub(crate) fn new(addr: &str, label: String, timeout: Duration) -> Replica {
+        Replica {
+            addr: addr.to_string(),
+            label,
+            timeout,
+            pool: Mutex::new(Vec::new()),
+            health: PeerHealth::new(),
+        }
+    }
+
+    /// This replica's `/stats` `peers[]` entry for its claim `shards`,
+    /// in the normative field order: `peer`, `shards`, the caller's
+    /// `extra` claim fields, then `up`, `fetches`, `failovers`,
+    /// `ejections`.
+    pub(crate) fn stats_fields(
+        &self,
+        shards: &Range<usize>,
+        extra: Vec<(&'static str, Json)>,
+    ) -> Vec<(&'static str, Json)> {
+        let h = &self.health;
+        let mut fields = vec![
+            ("peer", Json::str(&self.addr)),
+            (
+                "shards",
+                Json::Arr(vec![Json::num(shards.start), Json::num(shards.end)]),
+            ),
+        ];
+        fields.extend(extra);
+        fields.extend([
+            ("up", Json::Bool(h.is_up())),
+            ("fetches", Json::num(h.fetches.load(Ordering::Relaxed))),
+            ("failovers", Json::num(h.failovers.load(Ordering::Relaxed))),
+            ("ejections", Json::num(h.ejections.load(Ordering::Relaxed))),
+        ]);
+        fields
+    }
+
+    /// Return an idle connection to the pool (dropped at the cap).
+    pub(crate) fn pool_push(&self, client: Client) {
+        let mut pool = self.pool.lock().expect("replica pool lock poisoned");
+        if pool.len() < POOL_CAP {
+            pool.push(client);
+        }
+    }
+
+    /// The health gate: pass an up replica; probe a down one with `GET
+    /// /healthz` once its backoff has elapsed, else skip it, naming the
+    /// refusal in `failures`.
+    pub(crate) fn admit(&self, failures: &mut Vec<String>) -> bool {
+        let why = match self.health.gate() {
+            Gate::Up => return true,
+            Gate::ProbeDue => {
+                let healthy = Client::connect_timeout(self.addr.as_str(), self.timeout)
+                    .and_then(|mut c| c.get("/healthz"))
+                    .is_ok_and(|(status, _)| status == 200);
+                if healthy {
+                    self.health.record_success();
+                    return true;
+                }
+                self.health.record_probe_failure();
+                "probe failed"
+            }
+            Gate::Skip => "awaiting probe",
+        };
+        failures.push(format!("peer {}: down ({why})", self.label));
+        false
+    }
+
+    /// One exchange: pop a pooled connection or dial; a transport
+    /// failure on a pooled connection is retried once on a fresh dial
+    /// (a restarted peer leaves it stale). `op` names the exchange and
+    /// `context` follows the label in failure text.
+    pub(crate) fn exchange<R>(
+        &self,
+        context: &str,
+        op: &str,
+        request: impl Fn(&mut Client) -> io::Result<R>,
+    ) -> Result<R, String> {
+        let fail = |detail: String| format!("peer {}{context}: {detail}", self.label);
+        let dial = || Client::connect_timeout(self.addr.as_str(), self.timeout);
+        let pooled = self.pool.lock().expect("replica pool lock poisoned").pop();
+        let had_pooled = pooled.is_some();
+        let mut client = match pooled {
+            Some(c) => c,
+            None => dial().map_err(|e| fail(format!("connect: {e}")))?,
+        };
+        let resp = match request(&mut client) {
+            Ok(r) => r,
+            Err(first) => {
+                drop(client); // stale — never pool it again
+                if !had_pooled {
+                    return Err(fail(format!("{op}: {first}")));
+                }
+                client = dial().map_err(|e| fail(format!("reconnect after {first}: {e}")))?;
+                request(&mut client).map_err(|e| fail(format!("{op} (retried): {e}")))?
+            }
+        };
+        // The connection framed a full response either way — reusable.
+        self.pool_push(client);
+        Ok(resp)
+    }
+}
+
+/// One call with failover, rotating over `replicas` from `start`: gate
+/// each replica's health, exchange with it, and let `classify` judge
+/// the answer. A transport failure or [`Verdict::FailOver`] records a
+/// failure (and bumps `failovers`) and moves on; once every replica has
+/// failed, the error names each one. `subject` (`/row shard S v V`)
+/// names what is fetched in every failure.
+pub(crate) fn failover<R, T>(
+    replicas: &[&Replica],
+    start: usize,
+    subject: Option<&str>,
+    op: &str,
+    request: impl Fn(&mut Client) -> io::Result<R>,
+    classify: impl Fn(R) -> Verdict<T>,
+    failovers: Option<&AtomicU64>,
+) -> Result<T, String> {
+    let context = subject.map_or_else(String::new, |s| format!(" ({s})"));
+    let mut failures: Vec<String> = Vec::new();
+    for k in 0..replicas.len() {
+        let replica = replicas[(start + k) % replicas.len()];
+        if !replica.admit(&mut failures) {
+            continue;
+        }
+        let named = |detail: String| format!("peer {}{context}: {detail}", replica.label);
+        let failure = match replica.exchange(&context, op, &request).map(&classify) {
+            Ok(Verdict::Done(t)) => {
+                replica.health.record_success();
+                replica.health.record_served();
+                return Ok(t);
+            }
+            Ok(Verdict::Stop(detail)) => return Err(named(detail)),
+            Ok(Verdict::FailOver(detail)) => named(detail),
+            Err(e) => e,
+        };
+        replica.health.record_failure();
+        if let Some(count) = failovers {
+            count.fetch_add(1, Ordering::Relaxed);
+        }
+        failures.push(failure);
+    }
+    Err(format!(
+        "all replicas failed{}: {}",
+        subject.map_or_else(String::new, |s| format!(" for {s}")),
+        failures.join("; ")
+    ))
 }
 
 /// The remote side of a cluster node's engine: shard → replica-list
-/// resolution plus a small per-peer pool of keep-alive [`Client`]
-/// connections.
-///
-/// Fetches are blocking with a bounded timeout and rotate round-robin
-/// over a shard's replicas. A transport failure is retried once on a
-/// fresh connection (the peer may have restarted and the pooled
-/// connection gone stale), then **fails over** to the next replica;
-/// only when every replica has failed does the fetch surface as
-/// [`ServeError::Remote`] (naming each replica tried).
+/// resolution over one [`Replica`] per `--peers` entry, fetched from
+/// through [`failover`].
 pub(crate) struct RemoteShards {
-    peers: Vec<RemotePeer>,
-    /// Run-wide shard index → indices into `peers` of its replicas
+    specs: Vec<PeerSpec>,
+    /// One per entry of `specs`, in the same order.
+    replicas: Vec<Replica>,
+    /// Run-wide shard index → indices into `replicas` of its replicas
     /// (empty = resident locally only).
     by_shard: Vec<Vec<usize>>,
-    timeout: Duration,
     /// Round-robin cursor over replicas, shared across shards.
     rr: AtomicUsize,
-}
-
-struct RemotePeer {
-    spec: PeerSpec,
-    /// Idle keep-alive connections to this peer; fetches pop one (or
-    /// dial) and push it back on success, so concurrent batch workers
-    /// fan out over parallel connections instead of serializing.
-    pool: Mutex<Vec<Client>>,
-    health: PeerHealth,
 }
 
 impl std::fmt::Debug for RemoteShards {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("RemoteShards")
-            .field(
-                "peers",
-                &self
-                    .peers
-                    .iter()
-                    .map(|p| p.spec.to_string())
-                    .collect::<Vec<_>>(),
-            )
+            .field("peers", &self.specs)
             .finish()
     }
-}
-
-/// How one fetch attempt against one replica went down, for the failover
-/// loop: transport failures move on to the next replica, config skew
-/// (a non-5xx HTTP error: the peer answered, deterministically) does not
-/// — every replica of a consistent cluster would answer the same.
-enum Attempt {
-    Transport(String),
-    Skew(ServeError),
 }
 
 impl RemoteShards {
@@ -397,45 +523,28 @@ impl RemoteShards {
             )));
         }
         Ok(RemoteShards {
-            peers: specs
+            specs: specs.to_vec(),
+            replicas: specs
                 .iter()
-                .map(|spec| RemotePeer {
-                    spec: spec.clone(),
-                    pool: Mutex::new(Vec::new()),
-                    health: PeerHealth::new(),
-                })
+                .map(|spec| Replica::new(&spec.addr, spec.to_string(), timeout))
                 .collect(),
             by_shard,
-            timeout,
             rr: AtomicUsize::new(0),
         })
     }
 
     /// The configured peer specs, in `--peers` order.
     pub(crate) fn specs(&self) -> Vec<PeerSpec> {
-        self.peers.iter().map(|p| p.spec.clone()).collect()
+        self.specs.clone()
     }
 
     /// The `/stats` `peers` array: one object per `--peers` entry with
     /// its claim and health counters, in `--peers` order.
     pub(crate) fn peer_stats(&self) -> Json {
+        let peers = self.specs.iter().zip(&self.replicas);
         Json::Arr(
-            self.peers
-                .iter()
-                .map(|p| {
-                    let mut fields = vec![
-                        ("peer", Json::str(&p.spec.addr)),
-                        (
-                            "shards",
-                            Json::Arr(vec![
-                                Json::num(p.spec.shards.start),
-                                Json::num(p.spec.shards.end),
-                            ]),
-                        ),
-                    ];
-                    fields.extend(p.health.stats_fields());
-                    Json::obj(fields)
-                })
+            peers
+                .map(|(spec, replica)| Json::obj(replica.stats_fields(&spec.shards, Vec::new())))
                 .collect(),
         )
     }
@@ -443,128 +552,65 @@ impl RemoteShards {
     /// Fetch the adjacency row of `v` in `shard` from one of the shard's
     /// replicas, failing over on transport errors.
     pub(crate) fn fetch(&self, shard: usize, v: u64) -> Result<Arc<[u64]>, ServeError> {
-        let replicas = &self.by_shard[shard];
+        let replicas: Vec<&Replica> = self.by_shard[shard]
+            .iter()
+            .map(|&i| &self.replicas[i])
+            .collect();
         assert!(
             !replicas.is_empty(),
             "fetch() is only called for shards the table maps to peers"
         );
-        let start = self.rr.fetch_add(1, Ordering::Relaxed);
-        let mut failures: Vec<String> = Vec::new();
-        for k in 0..replicas.len() {
-            let peer = &self.peers[replicas[(start + k) % replicas.len()]];
-            match peer.health.gate() {
-                Gate::Up => {}
-                Gate::ProbeDue => {
-                    if probe_healthz(&peer.spec.addr, self.timeout) {
-                        peer.health.record_success();
-                    } else {
-                        peer.health.record_probe_failure();
-                        failures.push(format!("peer {}: down (probe failed)", peer.spec));
-                        continue;
-                    }
-                }
-                Gate::Skip => {
-                    failures.push(format!("peer {}: down (awaiting probe)", peer.spec));
-                    continue;
-                }
-            }
-            match self.try_fetch(peer, shard, v) {
-                Ok(row) => {
-                    peer.health.record_success();
-                    peer.health.record_served();
-                    return Ok(row);
-                }
-                Err(Attempt::Transport(detail)) => {
-                    peer.health.record_failure();
-                    failures.push(detail);
-                }
-                Err(Attempt::Skew(e)) => return Err(e),
-            }
-        }
-        Err(ServeError::Remote(format!(
-            "all replicas failed for /row shard {shard} v {v}: {}",
-            failures.join("; ")
-        )))
-    }
-
-    /// One fetch attempt against one replica: pool/dial, retry a stale
-    /// pooled connection once, classify the outcome for the failover
-    /// loop.
-    fn try_fetch(&self, peer: &RemotePeer, shard: usize, v: u64) -> Result<Arc<[u64]>, Attempt> {
         // Ask for the varint delta encoding; the answer's Content-Type —
         // not the request — decides how to decode, so an older peer that
         // ignores `enc` and answers raw words still decodes correctly.
         let path = format!("/row?shard={shard}&v={v}&enc=vd");
-        let fail =
-            |detail: String| format!("peer {} (/row shard {shard} v {v}): {detail}", peer.spec);
-        // Pop a pooled keep-alive connection or dial a fresh one; retry a
-        // transport failure once on a fresh dial (a pooled connection may
-        // have gone stale across a peer restart).
-        let pooled = peer.pool.lock().unwrap().pop();
-        let had_pooled = pooled.is_some();
-        let mut client = match pooled {
-            Some(c) => c,
-            None => Client::connect_timeout(peer.spec.addr.as_str(), self.timeout)
-                .map_err(|e| Attempt::Transport(fail(format!("connect: {e}"))))?,
-        };
-        let (status, ctype, body) = match client.get_bytes_typed(&path) {
-            Ok(r) => r,
-            Err(first) => {
-                drop(client); // stale — never pool it again
-                if !had_pooled {
-                    return Err(Attempt::Transport(fail(format!("fetch: {first}"))));
-                }
-                client = Client::connect_timeout(peer.spec.addr.as_str(), self.timeout).map_err(
-                    |e| Attempt::Transport(fail(format!("reconnect after {first}: {e}"))),
-                )?;
-                client
-                    .get_bytes_typed(&path)
-                    .map_err(|e| Attempt::Transport(fail(format!("fetch (retried): {e}"))))?
-            }
-        };
-        // The connection framed a full response either way — reusable.
-        peer.pool.lock().unwrap().push(client);
-        if status >= 500 {
-            // the replica answered but could not serve — fail over
-            return Err(Attempt::Transport(fail(format!(
-                "status {status}: {}",
-                String::from_utf8_lossy(&body).trim()
-            ))));
-        }
-        if status != 200 {
-            // the peer's text/plain error body explains (not owned here /
-            // out of range / malformed) — config skew between nodes; a
-            // deterministic answer every replica would repeat, so no
-            // failover
-            return Err(Attempt::Skew(ServeError::Remote(fail(format!(
-                "status {status}: {}",
-                String::from_utf8_lossy(&body).trim()
-            )))));
-        }
-        if ctype == crate::http::ROW_VD_CONTENT_TYPE {
-            let mut row = Vec::new();
-            if !kron_stream::decode_row_vd(&body, &mut row) {
-                // a torn/corrupted stream — another replica may frame it
-                // right
-                return Err(Attempt::Transport(fail(format!(
-                    "body of {} bytes is not a well-formed varint delta row",
-                    body.len()
-                ))));
-            }
-            return Ok(row.into());
-        }
-        if body.len() % 8 != 0 {
-            // a torn/corrupted stream — another replica may frame it right
-            return Err(Attempt::Transport(fail(format!(
-                "body of {} bytes is not a whole number of u64 words",
-                body.len()
-            ))));
-        }
-        Ok(body
-            .chunks_exact(8)
-            .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
-            .collect())
+        failover(
+            &replicas,
+            self.rr.fetch_add(1, Ordering::Relaxed),
+            Some(&format!("/row shard {shard} v {v}")),
+            "fetch",
+            |client| client.get_bytes_typed(&path),
+            classify_row,
+            None,
+        )
+        .map_err(ServeError::Remote)
     }
+}
+
+/// Judge one `/row` answer: a 5xx or a body that does not frame as a
+/// row (torn or corrupted — another replica may frame it right) fails
+/// over; any other non-200 is config skew between nodes, which every
+/// replica would repeat, so it stops the fetch.
+fn classify_row((status, ctype, body): (u16, String, Vec<u8>)) -> Verdict<Arc<[u64]>> {
+    if status != 200 {
+        let detail = format!("status {status}: {}", String::from_utf8_lossy(&body).trim());
+        return if status >= 500 {
+            Verdict::FailOver(detail)
+        } else {
+            Verdict::Stop(detail)
+        };
+    }
+    if ctype == crate::http::ROW_VD_CONTENT_TYPE {
+        let mut row = Vec::new();
+        if !kron_stream::decode_row_vd(&body, &mut row) {
+            return Verdict::FailOver(format!(
+                "body of {} bytes is not a well-formed varint delta row",
+                body.len()
+            ));
+        }
+        return Verdict::Done(row.into());
+    }
+    if body.len() % 8 != 0 {
+        return Verdict::FailOver(format!(
+            "body of {} bytes is not a whole number of u64 words",
+            body.len()
+        ));
+    }
+    Verdict::Done(
+        body.chunks_exact(8)
+            .map(|w| u64::from_le_bytes(w.try_into().expect("chunks_exact yields 8 bytes")))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -720,5 +766,176 @@ mod tests {
         h.record_success();
         assert_eq!(h.gate(), Gate::Up, "success restores the peer");
         assert_eq!(h.failovers(), 3);
+    }
+
+    /// A loopback HTTP stub for the replica client: request `r` on
+    /// accepted connection `c` gets `respond(c, r)` as its status, or a
+    /// hang-up when that is `None` (a restarted peer's stale socket).
+    /// `counts` tallies (connections accepted, requests read).
+    fn stub<'s>(
+        s: &'s std::thread::Scope<'s, '_>,
+        stop: &'s AtomicBool,
+        counts: &'s [AtomicUsize; 2],
+        respond: impl Fn(usize, usize) -> Option<u16> + Send + 's,
+    ) -> String {
+        use std::io::{BufRead, BufReader, Write};
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        s.spawn(move || {
+            while !stop.load(Ordering::SeqCst) {
+                let stream = match listener.accept() {
+                    Ok((stream, _)) => stream,
+                    Err(_) => {
+                        std::thread::sleep(Duration::from_millis(1));
+                        continue;
+                    }
+                };
+                let c = counts[0].fetch_add(1, Ordering::SeqCst);
+                stream.set_nonblocking(false).unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(10)))
+                    .unwrap();
+                let mut reader = BufReader::new(stream.try_clone().unwrap());
+                let mut out = stream;
+                for r in 0.. {
+                    // read one request head (bodies are empty)
+                    let mut line = String::new();
+                    loop {
+                        line.clear();
+                        if reader.read_line(&mut line).unwrap_or(0) == 0 {
+                            break;
+                        }
+                        if line == "\r\n" {
+                            break;
+                        }
+                    }
+                    if line != "\r\n" {
+                        break; // the client closed the connection
+                    }
+                    counts[1].fetch_add(1, Ordering::SeqCst);
+                    let Some(status) = respond(c, r) else {
+                        break;
+                    };
+                    let body = format!("stub {status}");
+                    let head = format!(
+                        "HTTP/1.1 {status} X\r\nContent-Length: {}\r\n\r\n",
+                        body.len()
+                    );
+                    out.write_all(format!("{head}{body}").as_bytes()).unwrap();
+                }
+            }
+        });
+        addr
+    }
+
+    /// The shared failover loop with a `/row`-style classifier: 5xx
+    /// fails over, 200 is done, any other status stops the call.
+    fn call(replicas: &[&Replica], failovers: Option<&AtomicU64>) -> Result<u16, String> {
+        failover(
+            replicas,
+            0,
+            Some("/x"),
+            "fetch",
+            |c| c.get("/x"),
+            |(status, body): (u16, String)| match status {
+                500.. => Verdict::FailOver(format!("status {status}: {body}")),
+                200 => Verdict::Done(status),
+                _ => Verdict::Stop(format!("status {status}: {body}")),
+            },
+            failovers,
+        )
+    }
+
+    fn counts() -> [AtomicUsize; 2] {
+        [AtomicUsize::new(0), AtomicUsize::new(0)]
+    }
+
+    #[test]
+    fn replica_loop_fails_over_on_5xx_stops_on_4xx_and_names_every_failure() {
+        let stop = AtomicBool::new(false);
+        let (busy_n, ok_n, missing_n) = (counts(), counts(), counts());
+        std::thread::scope(|s| {
+            let t = Duration::from_secs(5);
+            let replica = |addr: &str| Replica::new(addr, format!("0..1={addr}"), t);
+            let busy = replica(&stub(s, &stop, &busy_n, |_, _| Some(503)));
+            let ok = replica(&stub(s, &stop, &ok_n, |_, _| Some(200)));
+            let missing = replica(&stub(s, &stop, &missing_n, |_, _| Some(404)));
+            let dead = replica("127.0.0.1:1"); // nothing listens there
+
+            // a 5xx answer fails over to the next replica
+            let total = AtomicU64::new(0);
+            assert_eq!(call(&[&busy, &ok], Some(&total)), Ok(200));
+            assert_eq!(busy.health.failovers(), 1);
+            assert_eq!(total.load(Ordering::SeqCst), 1);
+            assert_eq!(ok.health.failovers(), 0);
+
+            // a 4xx answer stops the call: no failover, no health change
+            let err = call(&[&missing, &ok], None).unwrap_err();
+            assert_eq!(
+                err,
+                format!("peer {} (/x): status 404: stub 404", missing.label)
+            );
+            assert_eq!(missing.health.failovers(), 0);
+            assert_eq!(
+                ok_n[1].load(Ordering::SeqCst),
+                1,
+                "the next replica is never asked"
+            );
+
+            // every replica failing: one message naming each replica
+            let err = call(&[&busy, &dead], None).unwrap_err();
+            assert!(err.starts_with("all replicas failed for /x: "), "{err}");
+            assert!(
+                err.contains(&format!("peer {} (/x): status 503: stub 503", busy.label)),
+                "{err}"
+            );
+            assert!(
+                err.contains(&format!("peer {} (/x): connect: ", dead.label)),
+                "{err}"
+            );
+            assert_eq!((busy.health.failovers(), dead.health.failovers()), (2, 1));
+            stop.store(true, Ordering::SeqCst);
+        });
+        assert_eq!(
+            busy_n[0].load(Ordering::SeqCst),
+            1,
+            "the pooled connection is reused"
+        );
+        assert_eq!(missing_n[1].load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn stale_pooled_connection_is_retried_exactly_once() {
+        let stop = AtomicBool::new(false);
+        let (restarted_n, dying_n) = (counts(), counts());
+        std::thread::scope(|s| {
+            let t = Duration::from_secs(5);
+            // every connection answers its first request, then hangs up
+            let restarted = stub(s, &stop, &restarted_n, |_, r| (r == 0).then_some(200));
+            let restarted = Replica::new(&restarted, restarted.clone(), t);
+            // only the first connection answers; later ones hang up
+            let dying = stub(s, &stop, &dying_n, |c, r| (c == 0 && r == 0).then_some(200));
+            let dying = Replica::new(&dying, dying.clone(), t);
+
+            for replica in [&restarted, &dying] {
+                assert_eq!(
+                    call(&[replica], None),
+                    Ok(200),
+                    "first call dials and pools"
+                );
+            }
+            // the pooled connection is stale: one fresh dial serves the call
+            assert_eq!(call(&[&restarted], None), Ok(200));
+            assert_eq!(restarted.health.failovers(), 0);
+            // a retry that fails too is the replica's failure — no third dial
+            let err = call(&[&dying], None).unwrap_err();
+            assert!(err.contains("fetch (retried): "), "{err}");
+            assert_eq!(dying.health.failovers(), 1);
+            stop.store(true, Ordering::SeqCst);
+        });
+        assert_eq!(restarted_n[0].load(Ordering::SeqCst), 2);
+        assert_eq!(dying_n[0].load(Ordering::SeqCst), 2, "exactly one redial");
+        assert_eq!(dying_n[1].load(Ordering::SeqCst), 3);
     }
 }

@@ -95,6 +95,19 @@ pub enum AnswerSource {
 }
 
 impl AnswerSource {
+    /// The cross-check sampling rate: `Some(1)` for
+    /// [`AnswerSource::CrossCheck`] (every query is checked),
+    /// `Some(n)` for [`AnswerSource::CrossCheckSampled`], `None` for the
+    /// single-path sources. Both cross-check spellings run through this
+    /// one rate.
+    pub fn cross_check_rate(self) -> Option<u64> {
+        match self {
+            AnswerSource::Artifact | AnswerSource::Oracle => None,
+            AnswerSource::CrossCheck => Some(1),
+            AnswerSource::CrossCheckSampled(n) => Some(n),
+        }
+    }
+
     /// Canonical *kind* name, as accepted by `--source` on the CLI.
     /// [`AnswerSource::CrossCheckSampled`] reports its base kind
     /// (`"cross-check"`); the `Display` impl renders the full spelling
@@ -103,7 +116,7 @@ impl AnswerSource {
         match self {
             AnswerSource::Artifact => "artifact",
             AnswerSource::Oracle => "oracle",
-            AnswerSource::CrossCheck | AnswerSource::CrossCheckSampled(_) => "cross-check",
+            _ => "cross-check",
         }
     }
 
@@ -200,11 +213,13 @@ pub struct OpenOptions {
     /// [`AnswerSource::CrossCheckSampled`] load the factor copies at open
     /// and fail if they are missing or stale.
     pub source: AnswerSource,
-    /// Byte budget of the LRU over hot decoded rows consulted by the
-    /// artifact triangle kernels (each row charges its decoded payload,
-    /// 8 bytes per entry); `0` disables it (pure zero-copy). In a
-    /// cluster, remote rows flow through the same LRU. The CLI accepts
-    /// `--cache 512m`-style sizes.
+    /// Byte budget of the LRU over hot rows (each row charges its
+    /// decoded payload, 8 bytes per entry); `0` disables it. The cache
+    /// admits exactly the rows that cost something to produce: rows
+    /// fetched from a peer and rows decoded from csr2 shards. Rows of a
+    /// resident v1 shard are zero-copy slices of the mapping and never
+    /// enter it, so on an all-v1 single node the cache stays empty. The
+    /// CLI accepts `--cache 512m`-style sizes.
     pub row_cache_bytes: u64,
     /// Open only this contiguous shard range (`kron serve --shards a..b`):
     /// the multi-node case. `None` (the default) opens every shard. A
@@ -234,6 +249,18 @@ impl Default for OpenOptions {
     }
 }
 
+/// `Ok` iff `v < num_vertices`; otherwise the out-of-range error every
+/// answer source reports for `v`.
+pub(crate) fn in_range(v: u64, num_vertices: u64) -> Result<(), ServeError> {
+    if v < num_vertices {
+        return Ok(());
+    }
+    Err(ServeError::VertexOutOfRange {
+        vertex: v,
+        num_vertices,
+    })
+}
+
 /// Detail of a cross-check disagreement kept in the log; the counter keeps
 /// counting past this many.
 const MISMATCH_LOG_CAP: usize = 64;
@@ -248,20 +275,12 @@ enum QueryPath {
     Check,
 }
 
-/// A row fetched for an artifact-path query: either borrowed straight
-/// from a resident shard mapping, or an owned copy (out of the row cache
-/// or fetched from a peer).
+/// A row fetched for an artifact-path query: either straight off a
+/// resident shard (borrowed from a v1 mapping, or decoded from csr2), or
+/// a shared copy (out of the row cache, or fetched from a peer).
 pub(crate) enum FetchedRow<'a> {
     Mapped(RowRef<'a>),
     Cached(Arc<[u64]>),
-}
-
-/// Why a row fetch failed: no shard owns the vertex (out of range — or
-/// corruption, when the vertex came from a mapped row), or the owning
-/// peer could not produce it.
-pub(crate) enum RowFetch {
-    Unrouted,
-    Failed(ServeError),
 }
 
 impl std::ops::Deref for FetchedRow<'_> {
@@ -366,7 +385,7 @@ impl ServeEngine {
     pub fn open_with(dir: &Path, opts: &OpenOptions) -> Result<ServeEngine, ServeError> {
         // Reject an impossible config before paying for the open (a
         // checksum-verified open rehashes every shard byte).
-        if let AnswerSource::CrossCheckSampled(0) = opts.source {
+        if opts.source.cross_check_rate() == Some(0) {
             return Err(ServeError::Open(
                 "cross-check sampling rate must be ≥ 1".into(),
             ));
@@ -393,9 +412,7 @@ impl ServeEngine {
         };
         let oracle = match opts.source {
             AnswerSource::Artifact => None,
-            AnswerSource::Oracle
-            | AnswerSource::CrossCheck
-            | AnswerSource::CrossCheckSampled(_) => Some(FactorOracle::load(dir, set.run())?),
+            _ => Some(FactorOracle::load(dir, set.run())?),
         };
         let routing = RoutingStats::new(set.num_shards());
         Ok(ServeEngine {
@@ -454,23 +471,15 @@ impl ServeEngine {
     /// queries `0, N, 2N, …` for the double-path check.
     fn path(&self) -> QueryPath {
         let i = self.query_counter.fetch_add(1, Ordering::Relaxed);
-        match self.source {
-            AnswerSource::Artifact => QueryPath::Artifact,
-            AnswerSource::Oracle => QueryPath::Oracle,
-            AnswerSource::CrossCheck => {
+        match self.source.cross_check_rate() {
+            None if self.source == AnswerSource::Oracle => QueryPath::Oracle,
+            // n ≥ 1 is enforced at open; max(1) keeps a hand-rolled
+            // OpenOptions from ever dividing by zero.
+            Some(n) if i.is_multiple_of(n.max(1)) => {
                 self.sampled.fetch_add(1, Ordering::Relaxed);
                 QueryPath::Check
             }
-            AnswerSource::CrossCheckSampled(n) => {
-                // n ≥ 1 is enforced at open; max(1) keeps a hand-rolled
-                // OpenOptions from ever dividing by zero.
-                if i.is_multiple_of(n.max(1)) {
-                    self.sampled.fetch_add(1, Ordering::Relaxed);
-                    QueryPath::Check
-                } else {
-                    QueryPath::Artifact
-                }
-            }
+            _ => QueryPath::Artifact,
         }
     }
 
@@ -515,22 +524,31 @@ impl ServeEngine {
         })
     }
 
-    /// Fetch the row of `v` wherever it lives, recording the route:
-    /// zero-copy from a resident shard's mapping, or over the wire from
-    /// the peer owning its shard. `cache_local` controls whether
-    /// *resident* rows also flow through the LRU (neighbor fetches do;
-    /// primary row reads stay zero-copy) — remote rows always do when a
-    /// cache is configured, because the wire round trip is exactly the
-    /// expensive fetch the LRU exists to absorb.
-    fn fetch_row(&self, v: u64, cache_local: bool) -> Result<FetchedRow<'_>, RowFetch> {
+    /// The adjacency row of `v` wherever it lives, recording the route:
+    /// off a resident shard, or over the wire from a replica of its
+    /// shard. The hot-row LRU, when configured, admits exactly the rows
+    /// that cost something to produce — remote rows and decoded csr2
+    /// rows; a v1 row is already a zero-copy slice of the mapping, so
+    /// caching it would only add a copy.
+    ///
+    /// # Errors
+    ///
+    /// [`ServeError::VertexOutOfRange`] when no shard owns `v` (callers
+    /// that read `v` out of a mapped row report that as corruption);
+    /// [`ServeError::Corrupt`] when a resident csr2 row fails to decode;
+    /// [`ServeError::Remote`] when no replica can produce the row.
+    pub(crate) fn row(&self, v: u64) -> Result<FetchedRow<'_>, ServeError> {
         let Some(shard) = self.set.route(v) else {
-            return Err(RowFetch::Unrouted);
+            return Err(ServeError::VertexOutOfRange {
+                vertex: v,
+                num_vertices: self.set.num_vertices(),
+            });
         };
         let local = self.set.local(shard);
         let cache = self
             .cache
             .as_ref()
-            .filter(|_| cache_local || local.is_none());
+            .filter(|_| local.is_none_or(|open| open.reader.is_v2()));
         if let Some(cache) = cache {
             if let Some(row) = cache.get(v) {
                 self.routing.record_hit();
@@ -539,71 +557,37 @@ impl ServeEngine {
             self.routing.record_miss();
         }
         self.routing.record_fetch(shard);
-        match local {
+        let row: Arc<[u64]> = match local {
             Some(open) => {
-                // routing guarantees v is inside the shard's range, and
-                // the open validated the mapped header against it
-                let row = open.reader.row(v).ok_or(RowFetch::Unrouted)?;
-                match cache {
-                    Some(cache) => {
-                        let arc: Arc<[u64]> = row.into();
-                        cache.insert(v, arc.clone());
-                        Ok(FetchedRow::Cached(arc))
-                    }
-                    None => Ok(FetchedRow::Mapped(row)),
+                // routing put v inside this validated shard's range, so
+                // a missing row is a csr2 row whose bytes do not decode
+                let row = open.reader.row(v).ok_or_else(|| {
+                    ServeError::Corrupt(format!(
+                        "row {v} of shard {shard} is not a well-formed varint delta row"
+                    ))
+                })?;
+                if cache.is_none() {
+                    return Ok(FetchedRow::Mapped(row));
                 }
+                row.into()
             }
             None => {
                 let remote = self.remote.as_ref().ok_or_else(|| {
                     // unreachable by construction (a partial subset cannot
                     // open without a complete peer table), but degrade to
                     // an error rather than a panic if it ever regresses
-                    RowFetch::Failed(ServeError::Remote(format!(
+                    ServeError::Remote(format!(
                         "shard {shard} is not resident and no peer is configured"
-                    )))
+                    ))
                 })?;
                 self.routing.record_remote();
-                let arc = remote.fetch(shard, v).map_err(RowFetch::Failed)?;
-                if let Some(cache) = &self.cache {
-                    cache.insert(v, arc.clone());
-                }
-                Ok(FetchedRow::Cached(arc))
+                remote.fetch(shard, v)?
             }
+        };
+        if let Some(cache) = cache {
+            cache.insert(v, row.clone());
         }
-    }
-
-    /// The adjacency row of `v` for a primary read, or an out-of-range /
-    /// remote-fetch error (artifact path).
-    fn row(&self, v: u64) -> Result<FetchedRow<'_>, ServeError> {
-        self.fetch_row(v, false).map_err(|e| match e {
-            RowFetch::Unrouted => ServeError::VertexOutOfRange {
-                vertex: v,
-                num_vertices: self.set.num_vertices(),
-            },
-            RowFetch::Failed(e) => e,
-        })
-    }
-
-    /// Fetch a neighbor row for intersection: through the LRU when one is
-    /// configured, zero-copy from the mapping otherwise, over the wire
-    /// for non-resident shards.
-    pub(crate) fn neighbor_row(&self, u: u64) -> Result<FetchedRow<'_>, RowFetch> {
-        self.fetch_row(u, true)
-    }
-
-    /// The adjacency row of `v` for traversal frontier expansion
-    /// (`/path`, `/khop`): through the hot-row LRU like a neighbor
-    /// fetch — repeated frontier expansion re-touches the same rows —
-    /// with unrouted vertices mapped to the out-of-range error a
-    /// primary read would produce.
-    pub(crate) fn traversal_row(&self, v: u64) -> Result<FetchedRow<'_>, ServeError> {
-        self.neighbor_row(v).map_err(|e| match e {
-            RowFetch::Unrouted => ServeError::VertexOutOfRange {
-                vertex: v,
-                num_vertices: self.set.num_vertices(),
-            },
-            RowFetch::Failed(e) => e,
-        })
+        Ok(FetchedRow::Cached(row))
     }
 
     /// Account one traversal query (`/path`, `/khop`) on the query
@@ -637,11 +621,11 @@ impl ServeEngine {
 
     /// Record a cross-check outcome; only a disagreement allocates (the
     /// rendered pair for the log).
-    fn reconcile<T: PartialEq>(
+    fn reconcile<T: PartialEq + ?Sized>(
         &self,
         query: impl FnOnce() -> String,
-        artifact: &Result<T, ServeError>,
-        oracle: &Result<T, ServeError>,
+        artifact: Result<&T, &ServeError>,
+        oracle: Result<&T, &ServeError>,
         render: impl Fn(&T) -> String,
     ) {
         let agree = match (artifact, oracle) {
@@ -662,17 +646,46 @@ impl ServeEngine {
         if agree {
             return;
         }
-        let show = |r: &Result<T, ServeError>| match r {
+        let show = |r: Result<&T, &ServeError>| match r {
             Ok(v) => render(v),
             Err(e) => format!("error: {e}"),
         };
         self.note_mismatch(query(), show(artifact), show(oracle));
     }
 
+    /// Answer one scalar query on the path [`Self::path`] picks: the
+    /// artifact walk (`artifact` yields the answer and its wedge checks),
+    /// the closed form (0 checks), or both — returning the artifact
+    /// answer and recording any disagreement.
+    fn answer<T: PartialEq>(
+        &self,
+        query: impl FnOnce() -> String,
+        artifact: impl FnOnce() -> Result<(T, u64), ServeError>,
+        oracle: impl FnOnce(&FactorOracle) -> Result<T, ServeError>,
+        render: impl Fn(&T) -> String,
+    ) -> Result<(T, u64), ServeError> {
+        match self.path() {
+            QueryPath::Artifact => artifact(),
+            QueryPath::Oracle => Ok((oracle(self.need_oracle()?)?, 0)),
+            QueryPath::Check => {
+                let art = artifact();
+                let ora = oracle(self.need_oracle()?);
+                // compare answers only — wedge checks are accounting
+                self.reconcile(query, art.as_ref().map(|(t, _)| t), ora.as_ref(), render);
+                art
+            }
+        }
+    }
+
+    /// `Ok` iff `v` is a product vertex (see [`in_range`]).
+    pub(crate) fn check_vertex(&self, v: u64) -> Result<(), ServeError> {
+        in_range(v, self.set.num_vertices())
+    }
+
     /// The sorted adjacency row of `v` (self loop included, matching
     /// `KronProduct::neighbors`): zero-copy from the mapping in artifact
-    /// mode (an owned copy for a non-resident row), materialized from the
-    /// factor rows in oracle mode.
+    /// mode (an owned copy for a decoded or non-resident row),
+    /// materialized from the factor rows in oracle mode.
     ///
     /// # Errors
     ///
@@ -694,51 +707,34 @@ impl ServeEngine {
                 let ora = self.need_oracle()?.neighbors(v);
                 // Compare borrowed against owned directly — the agree path
                 // (every query on a healthy run) must not copy the row.
-                let agree = match (&art, &ora) {
-                    (Ok(a), Ok(o)) => **a == *o.as_slice(),
-                    // no verdict on a remote-fetch failure (see reconcile)
-                    (Err(ServeError::Remote(_)), _) => true,
-                    (Err(_), Err(_)) => true,
-                    _ => false,
+                let (a, o) = (art.as_deref(), ora.as_deref());
+                // Rows can be huge (hub vertices); a mismatch renders a
+                // bounded digest — length plus the first diverging
+                // position — so the mismatch log and stderr stay usable.
+                let divergence = || match (a, o) {
+                    (Ok(a), Ok(o)) => a
+                        .iter()
+                        .zip(o)
+                        .position(|(x, y)| x != y)
+                        .or(Some(a.len().min(o.len()))),
+                    _ => None,
                 };
-                if !agree {
-                    // Rows can be huge (hub vertices); render a bounded
-                    // digest — length plus the first diverging position —
-                    // so the mismatch log and stderr stay usable.
-                    let divergence = match (&art, &ora) {
-                        (Ok(a), Ok(o)) => a
-                            .iter()
-                            .zip(o.iter())
-                            .position(|(x, y)| x != y)
-                            .or(Some(a.len().min(o.len()))),
-                        _ => None,
-                    };
-                    let show_row = |r: &[u64]| match divergence {
+                self.reconcile(
+                    || format!("neighbors {v}"),
+                    a,
+                    o,
+                    |r| match divergence() {
                         Some(at) => format!(
                             "[{} entries] ..[{at}] = {}",
                             r.len(),
                             r.get(at).map_or("<end>".into(), u64::to_string)
                         ),
                         None => format!("[{} entries]", r.len()),
-                    };
-                    let show = |r: Result<&[u64], &ServeError>| match r {
-                        Ok(row) => show_row(row),
-                        Err(e) => format!("error: {e}"),
-                    };
-                    self.note_mismatch(
-                        format!("neighbors {v}"),
-                        show(art.as_ref().map(|r| &**r)),
-                        show(ora.as_ref().map(|r| r.as_slice())),
-                    );
-                }
+                    },
+                );
                 Ok(as_cow(art?))
             }
         }
-    }
-
-    fn degree_artifact(&self, v: u64) -> Result<u64, ServeError> {
-        let row = self.row(v)?;
-        Ok(row.len() as u64 - u64::from(slice::contains_sorted(&row, v)))
     }
 
     /// Degree of `v`, self loop excluded (`d_C = (C − I∘C)·1`, §III-A).
@@ -748,26 +744,21 @@ impl ServeEngine {
     /// [`ServeError::VertexOutOfRange`] for `v ≥ n_C`; in a cluster,
     /// [`ServeError::Remote`] when the owning peer cannot produce the row.
     pub fn degree(&self, v: u64) -> Result<u64, ServeError> {
-        match self.path() {
-            QueryPath::Artifact => self.degree_artifact(v),
-            QueryPath::Oracle => self.need_oracle()?.degree(v),
-            QueryPath::Check => {
-                let art = self.degree_artifact(v);
-                let ora = self.need_oracle()?.degree(v);
-                self.reconcile(|| format!("degree {v}"), &art, &ora, u64::to_string);
-                art
-            }
-        }
+        let artifact = || {
+            let row = self.row(v)?;
+            Ok((
+                row.len() as u64 - u64::from(slice::contains_sorted(&row, v)),
+                0,
+            ))
+        };
+        let degree = |o: &FactorOracle| o.degree(v);
+        let (d, _) = self.answer(|| format!("degree {v}"), artifact, degree, u64::to_string)?;
+        Ok(d)
     }
 
     pub(crate) fn has_edge_artifact(&self, u: u64, v: u64) -> Result<bool, ServeError> {
         let row = self.row(u)?;
-        if v >= self.set.num_vertices() {
-            return Err(ServeError::VertexOutOfRange {
-                vertex: v,
-                num_vertices: self.set.num_vertices(),
-            });
-        }
+        self.check_vertex(v)?;
         Ok(slice::contains_sorted(&row, v))
     }
 
@@ -779,16 +770,10 @@ impl ServeEngine {
     /// [`ServeError::VertexOutOfRange`] for either id ≥ `n_C`; in a
     /// cluster, [`ServeError::Remote`] when `u`'s row is not fetchable.
     pub fn has_edge(&self, u: u64, v: u64) -> Result<bool, ServeError> {
-        match self.path() {
-            QueryPath::Artifact => self.has_edge_artifact(u, v),
-            QueryPath::Oracle => self.need_oracle()?.has_edge(u, v),
-            QueryPath::Check => {
-                let art = self.has_edge_artifact(u, v);
-                let ora = self.need_oracle()?.has_edge(u, v);
-                self.reconcile(|| format!("has_edge {u} {v}"), &art, &ora, bool::to_string);
-                art
-            }
-        }
+        let artifact = || Ok((self.has_edge_artifact(u, v)?, 0));
+        let query = || format!("has_edge {u} {v}");
+        let (b, _) = self.answer(query, artifact, |o| o.has_edge(u, v), bool::to_string)?;
+        Ok(b)
     }
 
     fn vertex_triangles_artifact(&self, v: u64) -> Result<(u64, u64), ServeError> {
@@ -798,10 +783,10 @@ impl ServeEngine {
         // a cluster a routed-but-unfetchable neighbor is a remote fault
         // carried out of the kernel via `fetch_failure`.
         let mut fetch_failure: Option<ServeError> = None;
-        slice::vertex_triangles_rows(&row_v, v, |u| match self.neighbor_row(u) {
+        slice::vertex_triangles_rows(&row_v, v, |u| match self.row(u) {
             Ok(row) => Some(row),
-            Err(RowFetch::Unrouted) => None,
-            Err(RowFetch::Failed(e)) => {
+            Err(ServeError::VertexOutOfRange { .. }) => None,
+            Err(e) => {
                 fetch_failure = Some(e);
                 None
             }
@@ -829,18 +814,12 @@ impl ServeEngine {
     /// every shard; in a cluster, [`ServeError::Remote`] when a needed
     /// row's owning peer cannot produce it.
     pub fn vertex_triangles_with_checks(&self, v: u64) -> Result<(u64, u64), ServeError> {
-        match self.path() {
-            QueryPath::Artifact => self.vertex_triangles_artifact(v),
-            QueryPath::Oracle => Ok((self.need_oracle()?.vertex_triangles(v)?, 0)),
-            QueryPath::Check => {
-                let art = self.vertex_triangles_artifact(v);
-                let ora = self.need_oracle()?.vertex_triangles(v);
-                // compare counts only — wedge checks are accounting, not answers
-                let art_t = art.as_ref().map(|&(t, _)| t).map_err(ServeError::clone);
-                self.reconcile(|| format!("tri_vertex {v}"), &art_t, &ora, u64::to_string);
-                art
-            }
-        }
+        self.answer(
+            || format!("tri_vertex {v}"),
+            || self.vertex_triangles_artifact(v),
+            |o| o.vertex_triangles(v),
+            u64::to_string,
+        )
     }
 
     /// Triangle participation `t_C(v)` (Def. 5).
@@ -852,27 +831,19 @@ impl ServeEngine {
         Ok(self.vertex_triangles_with_checks(v)?.0)
     }
 
-    fn edge_triangles_artifact(&self, u: u64, v: u64) -> Result<Option<(u64, u64)>, ServeError> {
+    /// `(Δ_C[{u, v}] or None for a non-edge, wedge checks)` off the rows.
+    fn edge_triangles_artifact(&self, u: u64, v: u64) -> Result<(Option<u64>, u64), ServeError> {
         let row_u = self.row(u)?;
-        if v >= self.set.num_vertices() {
-            return Err(ServeError::VertexOutOfRange {
-                vertex: v,
-                num_vertices: self.set.num_vertices(),
-            });
-        }
+        self.check_vertex(v)?;
         if !slice::contains_sorted(&row_u, v) {
-            return Ok(None);
+            return Ok((None, 0));
         }
         if u == v {
-            return Ok(Some((0, 0)));
+            return Ok((Some(0), 0));
         }
-        let row_v = self.neighbor_row(v).map_err(|e| match e {
-            RowFetch::Unrouted => {
-                ServeError::Corrupt(format!("row {u} lists neighbor {v} outside every shard"))
-            }
-            RowFetch::Failed(e) => e,
-        })?;
-        Ok(Some(slice::edge_triangles_rows(&row_u, &row_v, u, v)))
+        let row_v = self.row(v)?;
+        let (d, checks) = slice::edge_triangles_rows(&row_u, &row_v, u, v);
+        Ok((Some(d), checks))
     }
 
     /// Triangle participation `Δ_C[{u, v}]` of the edge `{u, v}` (Def. 6)
@@ -890,28 +861,13 @@ impl ServeEngine {
         u: u64,
         v: u64,
     ) -> Result<Option<(u64, u64)>, ServeError> {
-        match self.path() {
-            QueryPath::Artifact => self.edge_triangles_artifact(u, v),
-            QueryPath::Oracle => Ok(self.need_oracle()?.edge_triangles(u, v)?.map(|d| (d, 0))),
-            QueryPath::Check => {
-                let art = self.edge_triangles_artifact(u, v);
-                let ora = self.need_oracle()?.edge_triangles(u, v);
-                let art_d = art
-                    .as_ref()
-                    .map(|o| o.map(|(d, _)| d))
-                    .map_err(ServeError::clone);
-                self.reconcile(
-                    || format!("tri_edge {u} {v}"),
-                    &art_d,
-                    &ora,
-                    |o| match o {
-                        Some(d) => d.to_string(),
-                        None => "not-an-edge".into(),
-                    },
-                );
-                art
-            }
-        }
+        let (d, checks) = self.answer(
+            || format!("tri_edge {u} {v}"),
+            || self.edge_triangles_artifact(u, v),
+            |o| o.edge_triangles(u, v),
+            |d| d.map_or_else(|| "not-an-edge".into(), |d| d.to_string()),
+        )?;
+        Ok(d.map(|d| (d, checks)))
     }
 
     /// Triangle participation `Δ_C[{u, v}]`, or `None` if `{u, v}` is not
@@ -1029,7 +985,7 @@ mod tests {
         let dir = tmpdir("cache");
         let c = product();
         {
-            let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr);
+            let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr2);
             cfg.shards = 3;
             stream_product(&c, &cfg).unwrap();
         }
@@ -1058,6 +1014,36 @@ mod tests {
             rep.cache_bytes > 0 && rep.cache_bytes <= 64 * 1024,
             "resident bytes must be counted and bounded: {rep}"
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn row_cache_never_admits_zero_copy_v1_rows() {
+        let dir = tmpdir("cache_v1");
+        let c = product();
+        {
+            let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr);
+            cfg.shards = 3;
+            stream_product(&c, &cfg).unwrap();
+        }
+        let e = ServeEngine::open_with(
+            &dir,
+            &OpenOptions {
+                row_cache_bytes: 64 * 1024,
+                ..OpenOptions::default()
+            },
+        )
+        .unwrap();
+        for v in 0..c.num_vertices() {
+            assert_eq!(e.vertex_triangles(v).unwrap(), c.vertex_triangles(v));
+        }
+        let rep = e.routing();
+        assert_eq!(
+            (rep.cache_hits, rep.cache_misses, rep.cache_bytes),
+            (0, 0, 0),
+            "{rep}"
+        );
+        assert!(rep.total_fetches() > 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

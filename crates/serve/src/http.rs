@@ -15,6 +15,7 @@
 //! with a short read timeout (checking its shutdown flag between polls)
 //! without ever losing a partially received request.
 
+use kron_stream::json::Json;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -25,6 +26,44 @@ use std::time::Duration;
 /// decode by the *declared* type, so an old node answering raw to a new
 /// node's `enc=vd` request stays correct across version skew.
 pub const ROW_VD_CONTENT_TYPE: &str = "application/kron-row-vd";
+
+/// `Content-Type` of plain-text answers and every error body.
+pub(crate) const TEXT: &str = "text/plain; charset=utf-8";
+
+/// `Content-Type` of JSON documents.
+pub(crate) const JSON: &str = "application/json";
+
+/// An endpoint handler's answer: status, `Content-Type`, body.
+pub(crate) type Response = (u16, &'static str, Vec<u8>);
+
+/// An `error: …` text answer with `status`.
+pub(crate) fn error(status: u16, msg: impl std::fmt::Display) -> Response {
+    (status, TEXT, format!("error: {msg}\n").into_bytes())
+}
+
+/// A JSON document answer with `status`.
+pub(crate) fn json(status: u16, doc: impl std::fmt::Display) -> Response {
+    (status, JSON, format!("{doc}\n").into_bytes())
+}
+
+/// The `405` for a known endpoint reached with the wrong method.
+pub(crate) fn method_not_allowed() -> Response {
+    error(405, "method not allowed for this endpoint")
+}
+
+/// The `501` catch-all: a front end's endpoint inventory, so a client
+/// can tell a typo from a wrong tier.
+pub(crate) fn not_implemented(error: &str, supported: &[&str], note: Option<&str>) -> Response {
+    let mut fields = vec![
+        ("error", Json::str(error)),
+        (
+            "supported",
+            Json::Arr(supported.iter().map(|p| Json::str(p)).collect()),
+        ),
+    ];
+    fields.extend(note.map(|n| ("note", Json::str(n))));
+    json(501, Json::obj(fields))
+}
 
 /// Hard cap on a request head (request line + headers).
 pub const MAX_HEAD: usize = 64 * 1024;

@@ -105,14 +105,7 @@ impl FactorOracle {
     }
 
     fn check_vertex(&self, v: u64) -> Result<(), ServeError> {
-        if v < self.product.num_vertices() {
-            Ok(())
-        } else {
-            Err(ServeError::VertexOutOfRange {
-                vertex: v,
-                num_vertices: self.product.num_vertices(),
-            })
-        }
+        crate::engine::in_range(v, self.product.num_vertices())
     }
 
     /// Degree of `v` in closed form (loops excluded, §III-A).

@@ -24,7 +24,7 @@
 //! into the engine's mismatch machinery — the same counters that drive
 //! `/stats` and the CLI's nonzero cross-check exit.
 
-use crate::engine::{AnswerSource, ServeEngine, ServeError};
+use crate::engine::{ServeEngine, ServeError};
 use crate::http::Request;
 use kron_analyze::frontier_step;
 use kron_stream::json::Json;
@@ -59,10 +59,7 @@ impl PathAnswer {
     /// The wire shape served by `GET /path` (normative in
     /// ARCHITECTURE.md "Traversal serving").
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("from", Json::num(self.from)),
-            ("to", Json::num(self.to)),
-        ];
+        let mut pairs = vec![("from", Json::num(self.from)), ("to", Json::num(self.to))];
         if let Some(k) = self.max_depth {
             pairs.push(("max_depth", Json::num(k)));
         }
@@ -140,17 +137,6 @@ impl<'e> PathFinder<'e> {
         PathFinder { engine }
     }
 
-    fn check_vertex(&self, v: u64) -> Result<(), ServeError> {
-        let n = self.engine.num_vertices();
-        if v >= n {
-            return Err(ServeError::VertexOutOfRange {
-                vertex: v,
-                num_vertices: n,
-            });
-        }
-        Ok(())
-    }
-
     /// A minimal-hop path `from → to`, bounded by `max_depth` hops when
     /// given. Unreachable (or only reachable beyond the bound) is the
     /// in-band `path: None`, not an error; out-of-range endpoints and
@@ -164,8 +150,8 @@ impl<'e> PathFinder<'e> {
         max_depth: Option<u64>,
     ) -> Result<PathAnswer, ServeError> {
         self.engine.count_traversal_query();
-        self.check_vertex(from)?;
-        self.check_vertex(to)?;
+        self.engine.check_vertex(from)?;
+        self.engine.check_vertex(to)?;
         let path = if from == to {
             Some(vec![from])
         } else if max_depth == Some(0) {
@@ -174,10 +160,7 @@ impl<'e> PathFinder<'e> {
             self.bidirectional(from, to, max_depth)?
         };
         if let Some(p) = &path {
-            if matches!(
-                self.engine.source(),
-                AnswerSource::CrossCheck | AnswerSource::CrossCheckSampled(_)
-            ) {
+            if self.engine.source().cross_check_rate().is_some() {
                 PathCertifier::new(self.engine).certify(from, to, p);
             }
         }
@@ -193,7 +176,7 @@ impl<'e> PathFinder<'e> {
     /// member lists unless the expansion crosses [`MAX_KHOP_VERTICES`].
     pub fn khop(&self, v: u64, k: u64) -> Result<KhopAnswer, ServeError> {
         self.engine.count_traversal_query();
-        self.check_vertex(v)?;
+        self.engine.check_vertex(v)?;
         let n = self.engine.num_vertices();
         let mut seen: HashSet<u64> = HashSet::from([v]);
         let mut frontier = vec![v];
@@ -205,7 +188,7 @@ impl<'e> PathFinder<'e> {
             frontier_step(
                 &frontier,
                 n,
-                &mut |w| self.engine.traversal_row(w),
+                &mut |w| self.engine.row(w),
                 &|w, u| bad_column(w, u),
                 &mut |_, u| {
                     if seen.insert(u) {
@@ -323,7 +306,7 @@ impl<'e> PathFinder<'e> {
         frontier_step(
             frontier,
             self.engine.num_vertices(),
-            &mut |v| self.engine.traversal_row(v),
+            &mut |v| self.engine.row(v),
             &|v, u| bad_column(v, u),
             &mut |v, u| {
                 if seen.contains_key(&u) {
@@ -401,10 +384,10 @@ impl<'e> PathCertifier<'e> {
     }
 }
 
-/// Parse one `u64` query parameter with the `Query::parse` error
-/// conventions pinned in the batch grammar: a missing parameter names
-/// it, overflow is distinguished from malformed, and the offending
-/// token is echoed back.
+/// Parse one `u64` request argument with the error conventions pinned
+/// in the batch grammar (`Query::parse` uses it too): a missing
+/// argument names it, overflow is distinguished from malformed, and the
+/// offending token is echoed back.
 pub(crate) fn parse_u64_param(
     kw: &str,
     name: &str,
@@ -430,7 +413,12 @@ pub(crate) fn parse_path_params(req: &Request) -> Result<(u64, u64, Option<u64>)
     let from = parse_u64_param("path", "from", "vertex id", req.query_param("from"))?;
     let to = parse_u64_param("path", "to", "vertex id", req.query_param("to"))?;
     let max_depth = match req.query_param("max_depth") {
-        Some(raw) => Some(parse_u64_param("path", "max_depth", "hop count", Some(raw))?),
+        Some(raw) => Some(parse_u64_param(
+            "path",
+            "max_depth",
+            "hop count",
+            Some(raw),
+        )?),
         None => None,
     };
     Ok((from, to, max_depth))
@@ -447,17 +435,14 @@ pub(crate) fn parse_khop_params(req: &Request) -> Result<(u64, u64), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::OpenOptions;
+    use crate::engine::{AnswerSource, OpenOptions};
     use kron::KronProduct;
     use kron_graph::Graph;
     use kron_stream::{stream_product, OutputFormat, StreamConfig};
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "kron_path_{tag}_{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("kron_path_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir

@@ -19,13 +19,17 @@
 //!   serving" for the normative merge rules);
 //! * fans `GET /healthz` out to every peer (`ok` only when all are).
 //!
-//! A failed forward (connect error, timeout, 5xx, short sub-batch
-//! response) transparently **fails over** to the next replica; per-peer
-//! consecutive-failure counters drive health ejection exactly as on the
-//! nodes (down after 3 consecutive failures, probed via `GET /healthz`
-//! on a doubling backoff, restored on success). Only when *every* replica of a vertex has failed does
-//! the client see an error: a single `502 Bad Gateway` naming each
-//! replica tried — the router never invents an answer. Parse errors
+//! Each peer is a [`crate::cluster`] replica client — the same one a
+//! node fetches remote rows with — so a failed forward (connect error,
+//! timeout, 5xx, short sub-batch response) transparently **fails over**
+//! to the next replica, and per-peer consecutive-failure counters drive
+//! health ejection exactly as on the nodes (down after 3 consecutive
+//! failures, probed via `GET /healthz` on a doubling backoff, restored
+//! on success). Unlike a node's `/row` fetch, any non-5xx answer is
+//! relayed to the client verbatim. Only when *every* replica of a
+//! vertex has failed does the client see an error: a single `502 Bad
+//! Gateway` naming each replica tried — the router never invents an
+//! answer. Parse errors
 //! (`400`) are produced by the router itself with the same messages a
 //! node would emit, so clients cannot tell a router from a node on the
 //! error path either.
@@ -59,16 +63,18 @@
 //! println!("{report}");
 //! ```
 
-use crate::batch::{self, Query};
-use crate::cluster::{probe_healthz, Gate, PeerHealth};
+use crate::batch;
+use crate::cluster::{failover, Replica, Verdict};
 use crate::event_loop::serve_connections;
-use crate::http::{self, encode_query_component, Client};
-use crate::server::{LoopCounters, Server, ServerOptions, MAX_BATCH_RESPONSE};
+use crate::http::{self, encode_query_component, Client, Response, JSON, TEXT};
+use crate::server::{
+    batch_too_large, shards_doc, LoopCounters, Server, ServerOptions, MAX_BATCH_RESPONSE,
+};
 use kron_stream::json::Json;
 use std::io;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// One peer's parsed `GET /shards` answer: its shard claim, vertex
@@ -76,27 +82,12 @@ use std::time::{Duration, Instant};
 /// exchange left open (seeded into the peer's pool).
 type Discovered = (Range<usize>, Range<u64>, (u64, u64), Client);
 
-/// One discovered peer: its address, its claim, a pool of idle
-/// keep-alive connections, and its health state.
+/// One discovered peer: its claim beside the [`Replica`] client that
+/// forwards to it (address, keep-alive pool, health).
 struct RouterPeer {
-    addr: String,
     shards: Range<usize>,
     vertices: Range<u64>,
-    pool: Mutex<Vec<Client>>,
-    health: PeerHealth,
-}
-
-/// Idle connections kept per peer; re-discovery seeds one per tick, so
-/// the pool is capped to stop a long-lived router accumulating sockets.
-const POOL_CAP: usize = 8;
-
-impl RouterPeer {
-    fn pool_push(&self, client: Client) {
-        let mut pool = self.pool.lock().unwrap();
-        if pool.len() < POOL_CAP {
-            pool.push(client);
-        }
-    }
+    replica: Replica,
 }
 
 /// One immutable routing table: the discovered peers of one
@@ -138,7 +129,7 @@ impl RouterTable {
     fn addr_list(&self) -> String {
         self.peers
             .iter()
-            .map(|p| p.addr.as_str())
+            .map(|p| p.replica.addr.as_str())
             .collect::<Vec<_>>()
             .join(", ")
     }
@@ -313,28 +304,27 @@ impl Router {
                         t.peers
                             .iter()
                             .find(|p| {
-                                p.addr == *addr && p.shards == shards && p.vertices == vertices
+                                p.replica.addr == *addr
+                                    && p.shards == shards
+                                    && p.vertices == vertices
                             })
                             .cloned()
                     });
-                    match reused {
-                        Some(p) => {
-                            p.health.record_success();
-                            p.pool_push(client);
-                            peers.push(p);
-                        }
-                        None => peers.push(Arc::new(RouterPeer {
-                            addr: addr.clone(),
+                    let peer = reused.unwrap_or_else(|| {
+                        let replica = Replica::new(addr, addr.clone(), timeout);
+                        Arc::new(RouterPeer {
                             shards,
                             vertices,
-                            pool: Mutex::new(vec![client]),
-                            health: PeerHealth::new(),
-                        })),
-                    }
+                            replica,
+                        })
+                    });
+                    peer.replica.health.record_success();
+                    peer.replica.pool_push(client);
+                    peers.push(peer);
                 }
                 Err(e) => {
-                    let carried =
-                        prev.and_then(|t| t.peers.iter().find(|p| p.addr == *addr).cloned());
+                    let carried = prev
+                        .and_then(|t| t.peers.iter().find(|p| p.replica.addr == *addr).cloned());
                     match carried {
                         Some(p) => peers.push(p),
                         None if prev.is_none() => return Err(e),
@@ -347,7 +337,11 @@ impl Router {
             shape.ok_or_else(|| "no peer answered GET /shards".to_string())?;
         let num_shards = num_shards as usize;
         peers.sort_by(|a, b| {
-            (a.shards.start, a.shards.end, &a.addr).cmp(&(b.shards.start, b.shards.end, &b.addr))
+            (a.shards.start, a.shards.end, &a.replica.addr).cmp(&(
+                b.shards.start,
+                b.shards.end,
+                &b.replica.addr,
+            ))
         });
         // The claims must cover the run; overlap is replication.
         for s in 0..num_shards {
@@ -390,7 +384,7 @@ impl Router {
             .map(|p| {
                 format!(
                     "{} → shards {}..{}, vertices {}..{}",
-                    p.addr, p.shards.start, p.shards.end, p.vertices.start, p.vertices.end
+                    p.replica.addr, p.shards.start, p.shards.end, p.vertices.start, p.vertices.end
                 )
             })
             .collect()
@@ -399,111 +393,6 @@ impl Router {
     /// Product vertex count of the routed run.
     pub fn num_vertices(&self) -> u64 {
         self.table().num_vertices
-    }
-
-    /// Health-gate one peer before a forward: an up peer passes, a down
-    /// one is probed when its backoff has elapsed and skipped otherwise.
-    fn admit(&self, peer: &RouterPeer, failures: &mut Vec<String>) -> bool {
-        match peer.health.gate() {
-            Gate::Up => true,
-            Gate::ProbeDue => {
-                if probe_healthz(&peer.addr, self.timeout) {
-                    peer.health.record_success();
-                    true
-                } else {
-                    peer.health.record_probe_failure();
-                    failures.push(format!("peer {}: down (probe failed)", peer.addr));
-                    false
-                }
-            }
-            Gate::Skip => {
-                failures.push(format!("peer {}: down (awaiting probe)", peer.addr));
-                false
-            }
-        }
-    }
-
-    /// Forward one request to one peer, pooling connections and retrying
-    /// a stale pooled connection once, like the engine's row fetches.
-    fn forward(
-        &self,
-        peer: &RouterPeer,
-        method: &str,
-        path: &str,
-        body: &[u8],
-    ) -> Result<(u16, String), String> {
-        let fail = |detail: String| format!("peer {}: {detail}", peer.addr);
-        let do_req = |client: &mut Client| -> io::Result<(u16, String)> {
-            match method {
-                "GET" => client.get(path),
-                _ => client.post(path, body),
-            }
-        };
-        let pooled = peer.pool.lock().unwrap().pop();
-        let had_pooled = pooled.is_some();
-        let mut client = match pooled {
-            Some(c) => c,
-            None => Client::connect_timeout(peer.addr.as_str(), self.timeout)
-                .map_err(|e| fail(format!("connect: {e}")))?,
-        };
-        let resp = match do_req(&mut client) {
-            Ok(r) => r,
-            Err(first) => {
-                drop(client);
-                if !had_pooled {
-                    return Err(fail(format!("{method} {path}: {first}")));
-                }
-                client = Client::connect_timeout(peer.addr.as_str(), self.timeout)
-                    .map_err(|e| fail(format!("reconnect after {first}: {e}")))?;
-                do_req(&mut client).map_err(|e| fail(format!("{method} {path} (retried): {e}")))?
-            }
-        };
-        peer.pool_push(client);
-        Ok(resp)
-    }
-
-    /// Forward with failover: rotate round-robin over `candidates`,
-    /// moving on when a replica is down, unreachable, or answers 5xx.
-    /// Any other answer is relayed verbatim — it is deterministic, and
-    /// every replica of a consistent cluster would repeat it.
-    fn forward_failover(
-        &self,
-        table: &RouterTable,
-        candidates: &[usize],
-        method: &'static str,
-        path: &str,
-        body: &[u8],
-    ) -> Result<(u16, String), String> {
-        let start = self.rr.fetch_add(1, Ordering::Relaxed);
-        let mut failures: Vec<String> = Vec::new();
-        for k in 0..candidates.len() {
-            let peer = &table.peers[candidates[(start + k) % candidates.len()]];
-            if !self.admit(peer, &mut failures) {
-                continue;
-            }
-            match self.forward(peer, method, path, body) {
-                Ok((status, resp)) if status >= 500 => {
-                    peer.health.record_failure();
-                    self.failovers.fetch_add(1, Ordering::Relaxed);
-                    failures.push(format!(
-                        "peer {}: {method} answered {status}: {}",
-                        peer.addr,
-                        resp.trim()
-                    ));
-                }
-                Ok(resp) => {
-                    peer.health.record_success();
-                    peer.health.record_served();
-                    return Ok(resp);
-                }
-                Err(e) => {
-                    peer.health.record_failure();
-                    self.failovers.fetch_add(1, Ordering::Relaxed);
-                    failures.push(e);
-                }
-            }
-        }
-        Err(format!("all replicas failed: {}", failures.join("; ")))
     }
 
     /// Route until `shutdown` becomes `true`, accepting on the bound
@@ -576,18 +465,27 @@ type FanOutSlot<'t> = (&'t Arc<RouterPeer>, Option<Result<(u16, String), String>
 /// queries for a node must not fail on that node being unreachable).
 /// Results come back in peer order, `None` for skipped peers.
 fn fan_out<'t, 'b>(
-    r: &Router,
     table: &'t RouterTable,
     method: &'static str,
     path: &str,
     body_of: &(impl Fn(usize) -> Option<&'b [u8]> + Sync),
 ) -> Vec<FanOutSlot<'t>> {
+    let op = format!("{method} {path}");
+    let request = |body: &[u8], client: &mut Client| match method {
+        "GET" => client.get(path),
+        _ => client.post(path, body),
+    };
     std::thread::scope(|s| {
         let handles: Vec<_> = table
             .peers
             .iter()
             .enumerate()
-            .map(|(i, p)| body_of(i).map(|body| s.spawn(move || r.forward(p, method, path, body))))
+            .map(|(i, p)| {
+                body_of(i).map(|body| {
+                    let (op, request) = (&op, &request);
+                    s.spawn(move || p.replica.exchange("", op, |c| request(body, c)))
+                })
+            })
             .collect();
         table
             .peers
@@ -598,16 +496,63 @@ fn fan_out<'t, 'b>(
     })
 }
 
+/// Every endpoint the router serves, in the order its `501` inventory
+/// lists them. `/row` is not among them: the router answers it `404`.
+const ENDPOINTS: [&str; 7] = [
+    "/healthz", "/query", "/batch", "/path", "/khop", "/stats", "/shards",
+];
+
+/// The router's own `502`: every replica failed (`detail` names each).
+fn gateway_error(state: &RouterState<'_>, detail: String) -> Response {
+    state.forward_errors.fetch_add(1, Ordering::Relaxed);
+    http::error(502, detail)
+}
+
+/// The single-vertex forward behind `/query`, `/path` and `/khop`: a
+/// parse error is the router's own `400` (the message a node would
+/// give); otherwise forward `GET path` (the canonical form) to a replica
+/// of `vertex` with failover. Any non-5xx answer is relayed verbatim —
+/// it is deterministic, and every replica of a consistent cluster would
+/// repeat it; `ok_type` labels a `200` body, error bodies are text.
+fn forward_one(
+    state: &RouterState<'_>,
+    parsed: Result<(u64, String), String>,
+    ok_type: &'static str,
+) -> Response {
+    let (vertex, path) = match parsed {
+        Ok(parsed) => parsed,
+        Err(e) => return http::error(400, e),
+    };
+    state.queries.fetch_add(1, Ordering::Relaxed);
+    let (r, table) = (state.router, state.router.table());
+    let replicas: Vec<&Replica> = (table.candidates_for(vertex).into_iter())
+        .map(|i| &table.peers[i].replica)
+        .collect();
+    let forwarded = failover(
+        &replicas,
+        r.rr.fetch_add(1, Ordering::Relaxed),
+        None,
+        &format!("GET {path}"),
+        |client| client.get(&path),
+        |(status, body): (u16, String)| match status {
+            500.. => Verdict::FailOver(format!("GET answered {status}: {}", body.trim())),
+            _ => Verdict::Done((status, body)),
+        },
+        Some(&r.failovers),
+    );
+    match forwarded {
+        Ok((status, body)) => {
+            let ctype = if status == 200 { ok_type } else { TEXT };
+            (status, ctype, body.into_bytes())
+        }
+        Err(e) => gateway_error(state, e),
+    }
+}
+
 /// Dispatch one request: parse/validate locally (same errors as a node),
 /// forward the rest.
-fn route(state: &RouterState<'_>, req: &http::Request) -> (u16, &'static str, Vec<u8>) {
-    const TEXT: &str = "text/plain; charset=utf-8";
-    const JSON: &str = "application/json";
+fn route(state: &RouterState<'_>, req: &http::Request) -> Response {
     let r = state.router;
-    let gateway_err = |detail: String| -> (u16, &'static str, Vec<u8>) {
-        state.forward_errors.fetch_add(1, Ordering::Relaxed);
-        (502, TEXT, format!("error: {detail}\n").into_bytes())
-    };
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => {
             let table = r.table();
@@ -616,219 +561,161 @@ fn route(state: &RouterState<'_>, req: &http::Request) -> (u16, &'static str, Ve
             // are usually shorter than peers × 5 s. Health state is not
             // consulted or updated here: a monitoring probe reports the
             // cluster as it is right now.
-            for (p, res) in fan_out(r, &table, "GET", "/healthz", &|_| Some(&[][..])) {
+            for (p, res) in fan_out(&table, "GET", "/healthz", &|_| Some(&[][..])) {
                 match res.expect("healthz skips no peer") {
                     Ok((200, _)) => {}
                     Ok((status, _)) => {
-                        return (
+                        let addr = &p.replica.addr;
+                        return http::error(
                             503,
-                            TEXT,
-                            format!("error: peer {} unhealthy (status {status})\n", p.addr)
-                                .into_bytes(),
-                        )
+                            format!("peer {addr} unhealthy (status {status})"),
+                        );
                     }
-                    Err(e) => return (503, TEXT, format!("error: {e}\n").into_bytes()),
+                    Err(e) => return http::error(503, e),
                 }
             }
             (200, TEXT, b"ok\n".to_vec())
         }
-        ("GET", "/query") => {
-            let Some(line) = req.query_param("q") else {
-                return (400, TEXT, b"error: missing query parameter q\n".to_vec());
-            };
-            match Query::parse(line) {
-                Err(e) => (400, TEXT, format!("error: {e}\n").into_bytes()),
-                Ok(query) => {
-                    state.queries.fetch_add(1, Ordering::Relaxed);
-                    let table = r.table();
-                    let candidates = table.candidates_for(query.routing_vertex());
-                    let path = format!("/query?q={}", encode_query_component(&query.to_string()));
-                    match r.forward_failover(&table, &candidates, "GET", &path, b"") {
-                        // relay the winning node's answer verbatim,
-                        // whatever its (non-5xx) status — the router adds
-                        // nothing on this path
-                        Ok((status, body)) => (status, TEXT, body.into_bytes()),
-                        Err(e) => gateway_err(e),
-                    }
+        // Parse locally first (identical 400s to a node), then forward
+        // the canonical form to a replica of the routing vertex — a node
+        // traverses cross-shard through its own /row fetches, so any
+        // node holding the first row can answer.
+        ("GET", "/query") => forward_one(
+            state,
+            batch::parse_query_param(req).map(|q| {
+                let path = format!("/query?q={}", encode_query_component(&q.to_string()));
+                (q.routing_vertex(), path)
+            }),
+            TEXT,
+        ),
+        ("GET", "/path") => forward_one(
+            state,
+            crate::path::parse_path_params(req).map(|(from, to, max_depth)| {
+                let mut path = format!("/path?from={from}&to={to}");
+                if let Some(k) = max_depth {
+                    path.push_str(&format!("&max_depth={k}"));
                 }
-            }
-        }
-        ("GET", "/path") => {
-            // Parse locally first (identical 400s to a node), then
-            // forward the canonical form to a replica of `from`'s shard
-            // — the node traverses cross-shard through its own /row
-            // fetches, so any node holding the first row can answer.
-            match crate::path::parse_path_params(req) {
-                Err(e) => (400, TEXT, format!("error: {e}\n").into_bytes()),
-                Ok((from, to, max_depth)) => {
-                    state.queries.fetch_add(1, Ordering::Relaxed);
-                    let table = r.table();
-                    let candidates = table.candidates_for(from);
-                    let mut path = format!("/path?from={from}&to={to}");
-                    if let Some(k) = max_depth {
-                        path.push_str(&format!("&max_depth={k}"));
-                    }
-                    match r.forward_failover(&table, &candidates, "GET", &path, b"") {
-                        Ok((status, body)) => {
-                            (status, if status == 200 { JSON } else { TEXT }, body.into_bytes())
-                        }
-                        Err(e) => gateway_err(e),
-                    }
-                }
-            }
-        }
-        ("GET", "/khop") => {
-            match crate::path::parse_khop_params(req) {
-                Err(e) => (400, TEXT, format!("error: {e}\n").into_bytes()),
-                Ok((v, k)) => {
-                    state.queries.fetch_add(1, Ordering::Relaxed);
-                    let table = r.table();
-                    let candidates = table.candidates_for(v);
-                    let path = format!("/khop?v={v}&k={k}");
-                    match r.forward_failover(&table, &candidates, "GET", &path, b"") {
-                        Ok((status, body)) => {
-                            (status, if status == 200 { JSON } else { TEXT }, body.into_bytes())
-                        }
-                        Err(e) => gateway_err(e),
-                    }
-                }
-            }
-        }
+                (from, path)
+            }),
+            JSON,
+        ),
+        ("GET", "/khop") => forward_one(
+            state,
+            crate::path::parse_khop_params(req).map(|(v, k)| (v, format!("/khop?v={v}&k={k}"))),
+            JSON,
+        ),
         ("POST", "/batch") => {
-            let Ok(text) = std::str::from_utf8(&req.body) else {
-                return (400, TEXT, b"error: body is not UTF-8\n".to_vec());
+            let queries = match batch::parse_batch_body(req) {
+                Ok(queries) => queries,
+                Err(e) => return http::error(400, e),
             };
-            match batch::parse_queries(text) {
-                Err(e) => (400, TEXT, format!("error: {e}\n").into_bytes()),
-                Ok(queries) => {
-                    state
-                        .queries
-                        .fetch_add(queries.len() as u64, Ordering::Relaxed);
-                    // Split into per-peer sub-batches (input order is
-                    // preserved within each), forward them concurrently
-                    // (wall clock tracks the slowest node, not the sum),
-                    // then reassemble the answer lines by original index —
-                    // byte-identical to a single node walking the batch in
-                    // order. A failed sub-batch (transport, 5xx, short
-                    // response) returns its queries to the pool and the
-                    // next round re-assigns them to surviving replicas;
-                    // the loop is bounded because every retry round
-                    // excludes at least one more peer.
-                    let table = r.table();
-                    let rr_base = r.rr.fetch_add(1, Ordering::Relaxed);
-                    let mut lines: Vec<Option<String>> = vec![None; queries.len()];
-                    let mut excluded: Vec<bool> = vec![false; table.peers.len()];
-                    let mut total_len = 0usize;
-                    loop {
-                        let remaining: Vec<usize> =
-                            (0..queries.len()).filter(|&i| lines[i].is_none()).collect();
-                        if remaining.is_empty() {
-                            break;
-                        }
-                        // Gate each peer once per round (probing down
-                        // peers whose backoff elapsed), not once per query.
-                        let mut probe_failures = Vec::new();
-                        let usable: Vec<bool> = table
-                            .peers
-                            .iter()
-                            .enumerate()
-                            .map(|(i, p)| !excluded[i] && r.admit(p, &mut probe_failures))
-                            .collect();
-                        let mut by_peer: Vec<(Vec<usize>, String)> = table
-                            .peers
-                            .iter()
-                            .map(|_| (Vec::new(), String::new()))
-                            .collect();
-                        for &i in &remaining {
-                            let cands: Vec<usize> = table
-                                .candidates_for(queries[i].routing_vertex())
-                                .into_iter()
-                                .filter(|&c| usable[c])
-                                .collect();
-                            if cands.is_empty() {
-                                return gateway_err(format!(
-                                    "all replicas failed for batch query {:?} (peers: {})",
-                                    queries[i].to_string(),
-                                    table.addr_list()
-                                ));
-                            }
-                            let pick = cands[(rr_base + i) % cands.len()];
-                            by_peer[pick].0.push(i);
-                            by_peer[pick].1.push_str(&format!("{}\n", queries[i]));
-                        }
-                        let responses = fan_out(r, &table, "POST", "/batch", &|i: usize| {
-                            let (indices, body) = &by_peer[i];
-                            (!indices.is_empty()).then_some(body.as_bytes())
-                        });
-                        for (idx, ((peer, res), (indices, _))) in
-                            responses.into_iter().zip(&by_peer).enumerate()
-                        {
-                            let Some(res) = res else {
-                                continue; // no queries route to this peer
-                            };
-                            // Transport failures, 5xx, and short responses
-                            // fail over; any other non-200 is deterministic
-                            // and surfaces (a retry would repeat it).
-                            let failure = match res {
-                                Err(e) => Some(e),
-                                Ok((status, resp)) if status >= 500 => Some(format!(
+            state
+                .queries
+                .fetch_add(queries.len() as u64, Ordering::Relaxed);
+            // Split into per-peer sub-batches (input order is
+            // preserved within each), forward them concurrently
+            // (wall clock tracks the slowest node, not the sum),
+            // then reassemble the answer lines by original index —
+            // byte-identical to a single node walking the batch in
+            // order. A failed sub-batch (transport, 5xx, short
+            // response) returns its queries to the pool and the
+            // next round re-assigns them to surviving replicas;
+            // the loop is bounded because every retry round
+            // excludes at least one more peer.
+            let table = r.table();
+            let rr_base = r.rr.fetch_add(1, Ordering::Relaxed);
+            let mut lines: Vec<Option<String>> = vec![None; queries.len()];
+            let mut excluded: Vec<bool> = vec![false; table.peers.len()];
+            let mut total_len = 0usize;
+            loop {
+                let remaining: Vec<usize> =
+                    (0..queries.len()).filter(|&i| lines[i].is_none()).collect();
+                if remaining.is_empty() {
+                    break;
+                }
+                // Gate each peer once per round (probing down
+                // peers whose backoff elapsed), not once per query.
+                let mut probe_failures = Vec::new();
+                let usable: Vec<bool> = table
+                    .peers
+                    .iter()
+                    .enumerate()
+                    .map(|(i, p)| !excluded[i] && p.replica.admit(&mut probe_failures))
+                    .collect();
+                let mut by_peer: Vec<(Vec<usize>, String)> = table
+                    .peers
+                    .iter()
+                    .map(|_| (Vec::new(), String::new()))
+                    .collect();
+                for &i in &remaining {
+                    let cands: Vec<usize> = table
+                        .candidates_for(queries[i].routing_vertex())
+                        .into_iter()
+                        .filter(|&c| usable[c])
+                        .collect();
+                    if cands.is_empty() {
+                        return gateway_error(
+                            state,
+                            format!(
+                                "all replicas failed for batch query {:?} (peers: {})",
+                                queries[i].to_string(),
+                                table.addr_list()
+                            ),
+                        );
+                    }
+                    let pick = cands[(rr_base + i) % cands.len()];
+                    by_peer[pick].0.push(i);
+                    by_peer[pick].1.push_str(&format!("{}\n", queries[i]));
+                }
+                let responses = fan_out(&table, "POST", "/batch", &|i: usize| {
+                    let (indices, body) = &by_peer[i];
+                    (!indices.is_empty()).then_some(body.as_bytes())
+                });
+                for (idx, ((peer, res), (indices, _))) in
+                    responses.into_iter().zip(&by_peer).enumerate()
+                {
+                    let Some(res) = res else {
+                        continue; // no queries route to this peer
+                    };
+                    // Transport failures, 5xx, and short responses
+                    // fail over; any other non-200 is deterministic
+                    // and surfaces (a retry would repeat it).
+                    let resp = match res {
+                        Ok((200, resp)) if resp.lines().count() == indices.len() => resp,
+                        Ok((status, resp)) if status < 500 && status != 200 => {
+                            return gateway_error(
+                                state,
+                                format!(
                                     "peer {}: /batch answered {status}: {}",
-                                    peer.addr,
+                                    peer.replica.addr,
                                     resp.trim()
-                                )),
-                                Ok((status, resp)) if status != 200 => {
-                                    return gateway_err(format!(
-                                        "peer {}: /batch answered {status}: {}",
-                                        peer.addr,
-                                        resp.trim()
-                                    ));
-                                }
-                                Ok((_, resp)) => {
-                                    let answer_lines: Vec<&str> = resp.lines().collect();
-                                    if answer_lines.len() != indices.len() {
-                                        Some(format!(
-                                            "peer {}: /batch returned {} lines for {} queries",
-                                            peer.addr,
-                                            answer_lines.len(),
-                                            indices.len()
-                                        ))
-                                    } else {
-                                        peer.health.record_success();
-                                        peer.health.record_served();
-                                        for (&i, line) in indices.iter().zip(answer_lines) {
-                                            total_len += line.len() + 1;
-                                            lines[i] = Some(line.to_string());
-                                        }
-                                        None
-                                    }
-                                }
-                            };
-                            if failure.is_some() {
-                                peer.health.record_failure();
-                                r.failovers.fetch_add(1, Ordering::Relaxed);
-                                excluded[idx] = true;
-                            }
-                            if total_len > MAX_BATCH_RESPONSE {
-                                return (
-                                    413,
-                                    TEXT,
-                                    format!(
-                                        "error: batch response exceeds {MAX_BATCH_RESPONSE} \
-                                         bytes — split the batch\n"
-                                    )
-                                    .into_bytes(),
-                                );
-                            }
+                                ),
+                            );
                         }
+                        _ => {
+                            peer.replica.health.record_failure();
+                            r.failovers.fetch_add(1, Ordering::Relaxed);
+                            excluded[idx] = true;
+                            continue;
+                        }
+                    };
+                    peer.replica.health.record_success();
+                    peer.replica.health.record_served();
+                    for (&i, line) in indices.iter().zip(resp.lines()) {
+                        total_len += line.len() + 1;
+                        lines[i] = Some(line.to_string());
                     }
-                    let mut out = String::with_capacity(total_len);
-                    for line in lines.into_iter().flatten() {
-                        out.push_str(&line);
-                        out.push('\n');
+                    if total_len > MAX_BATCH_RESPONSE {
+                        return batch_too_large();
                     }
-                    (200, TEXT, out.into_bytes())
                 }
             }
+            let mut out = String::with_capacity(total_len);
+            for line in lines.into_iter().flatten() {
+                out.push_str(&line);
+                out.push('\n');
+            }
+            (200, TEXT, out.into_bytes())
         }
         ("GET", "/stats") => {
             // Merge rule (normative in ARCHITECTURE.md): per-peer docs
@@ -852,10 +739,10 @@ fn route(state: &RouterState<'_>, req: &http::Request) -> (u16, &'static str, Ve
                 "mismatch_count",
                 "rows_served",
             ];
-            let responses = fan_out(r, &table, "GET", "/stats", &|i: usize| {
+            let responses = fan_out(&table, "GET", "/stats", &|i: usize| {
                 // don't pay a timeout per /stats call for a known-down
                 // peer; it reports up:false, stats:null below
-                table.peers[i].health.is_up().then_some(&[][..])
+                table.peers[i].replica.health.is_up().then_some(&[][..])
             });
             for (p, res) in responses {
                 let stats = match res {
@@ -867,16 +754,11 @@ fn route(state: &RouterState<'_>, req: &http::Request) -> (u16, &'static str, Ve
                         totals[i] += doc.get(key).and_then(Json::as_u64).unwrap_or(0);
                     }
                 }
-                let mut fields = vec![
-                    ("peer", Json::str(&p.addr)),
-                    (
-                        "shards",
-                        Json::Arr(vec![Json::num(p.shards.start), Json::num(p.shards.end)]),
-                    ),
+                let span = vec![
                     ("vertex_lo", Json::num(p.vertices.start)),
                     ("vertex_hi", Json::num(p.vertices.end)),
                 ];
-                fields.extend(p.health.stats_fields());
+                let mut fields = p.replica.stats_fields(&p.shards, span);
                 fields.push(("stats", stats.unwrap_or(Json::Null)));
                 peer_docs.push(Json::obj(fields));
             }
@@ -916,49 +798,29 @@ fn route(state: &RouterState<'_>, req: &http::Request) -> (u16, &'static str, Ve
                 ),
                 ("peers", Json::Arr(peer_docs)),
             ]);
-            (200, JSON, format!("{doc}\n").into_bytes())
+            http::json(200, doc)
         }
         ("GET", "/shards") => {
             // The cluster presents as one complete node — a router (or a
             // router of routers) in front of it needs nothing else.
             let table = r.table();
-            let doc = Json::obj(vec![
-                ("shards", Json::num(table.num_shards)),
-                (
-                    "subset",
-                    Json::Arr(vec![Json::num(0), Json::num(table.num_shards)]),
-                ),
-                ("vertex_lo", Json::num(0)),
-                ("vertex_hi", Json::num(table.num_vertices)),
-                ("num_vertices", Json::num(table.num_vertices)),
-            ]);
-            (200, JSON, format!("{doc}\n").into_bytes())
+            let (shards, n) = (table.num_shards, table.num_vertices);
+            shards_doc(shards, 0..shards, 0..n, n)
         }
-        ("GET", "/row") => (
+        ("GET", "/row") => http::error(
             404,
-            TEXT,
-            b"error: the router serves no rows (fetch from the owning node)\n".to_vec(),
+            "the router serves no rows (fetch from the owning node)",
         ),
-        (
-            _,
-            "/healthz" | "/query" | "/batch" | "/path" | "/khop" | "/stats" | "/row" | "/shards",
-        ) => (
-            405,
-            TEXT,
-            b"error: method not allowed for this endpoint\n".to_vec(),
-        ),
+        (_, path) if path == "/row" || ENDPOINTS.contains(&path) => http::method_not_allowed(),
         // 501, not 404: the path may well exist on the nodes (the
         // analytics-job API under /jobs is node-local state — an id
         // minted by one node means nothing to its peers, so the router
         // deliberately does not forward it). Name what *is* served so a
         // client landing here can tell "wrong tier" from "no such thing".
-        _ => (
-            501,
-            JSON,
-            b"{\"error\":\"not implemented by the router\",\
-              \"supported\":[\"/healthz\",\"/query\",\"/batch\",\"/path\",\"/khop\",\"/stats\",\"/shards\"],\
-              \"note\":\"/jobs is node-local: submit to a node, not the router\"}\n"
-                .to_vec(),
+        _ => http::not_implemented(
+            "not implemented by the router",
+            &ENDPOINTS,
+            Some("/jobs is node-local: submit to a node, not the router"),
         ),
     }
 }

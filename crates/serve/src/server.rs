@@ -33,10 +33,10 @@
 //! connection state machine and timeout semantics in its "Connection
 //! lifecycle & timeouts" subsection.
 
-use crate::batch::{self, Query, QueryStats};
-use crate::engine::ServeEngine;
+use crate::batch::{self, QueryStats};
+use crate::engine::{ServeEngine, ServeError};
 use crate::event_loop::{serve_connections, ConnCounters, LoopConfig};
-use crate::http;
+use crate::http::{self, Response, JSON, TEXT};
 use kron_stream::json::Json;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -232,11 +232,18 @@ struct ServerState<'e> {
 }
 
 impl ServerState<'_> {
-    /// Record one answered query.
-    fn record_query(&self, lat: Duration, is_err: bool, checks: u64) {
+    /// Run and time one engine call (an answer and its wedge checks),
+    /// recording it on the query counters and the latency window.
+    fn timed<T>(
+        &self,
+        run: impl FnOnce() -> (Result<T, ServeError>, u64),
+    ) -> Result<T, ServeError> {
+        let t0 = Instant::now();
+        let (res, checks) = run();
+        let lat = t0.elapsed();
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.query_errors
-            .fetch_add(u64::from(is_err), Ordering::Relaxed);
+            .fetch_add(u64::from(res.is_err()), Ordering::Relaxed);
         self.wedge_checks.fetch_add(checks, Ordering::Relaxed);
         let mut recent = self.recent.lock().unwrap();
         if recent.len() >= RECENT_LATENCIES {
@@ -247,6 +254,7 @@ impl ServerState<'_> {
         } else {
             recent.push(lat);
         }
+        res
     }
 
     fn report(&self) -> ServerReport {
@@ -431,14 +439,63 @@ impl Server {
     }
 }
 
+/// Every endpoint a node serves, in the order its `501` inventory lists
+/// them.
+const ENDPOINTS: [&str; 9] = [
+    "/healthz", "/query", "/batch", "/path", "/khop", "/stats", "/row", "/shards", "/jobs",
+];
+
 /// Status for an engine error surfaced on `GET /query`: a remote-row
 /// fetch failure is the node's upstream failing (502), everything else
 /// is the query being unanswerable for this run (422).
-fn error_status(e: &crate::engine::ServeError) -> u16 {
+fn error_status(e: &ServeError) -> u16 {
     match e {
-        crate::engine::ServeError::Remote(_) => 502,
+        ServeError::Remote(_) => 502,
         _ => 422,
     }
+}
+
+/// Respond with one timed engine call: the answer under `ok_type`, an engine
+/// error as text with [`error_status`].
+fn respond<T: std::fmt::Display>(
+    state: &ServerState<'_>,
+    ok_type: &'static str,
+    run: impl FnOnce() -> (Result<T, ServeError>, u64),
+) -> Response {
+    match state.timed(run) {
+        Ok(a) => (200, ok_type, format!("{a}\n").into_bytes()),
+        Err(e) => http::error(error_status(&e), e),
+    }
+}
+
+/// The `413` for a `/batch` whose answers outgrow
+/// [`MAX_BATCH_RESPONSE`] (a node's and the router's alike).
+pub(crate) fn batch_too_large() -> Response {
+    http::error(
+        413,
+        format!("batch response exceeds {MAX_BATCH_RESPONSE} bytes — split the batch"),
+    )
+}
+
+/// The `/shards` document: a front end's claim on the ownership map (a
+/// node's subset, or the whole run behind a router).
+pub(crate) fn shards_doc(
+    shards: usize,
+    subset: std::ops::Range<usize>,
+    span: std::ops::Range<u64>,
+    num_vertices: u64,
+) -> Response {
+    let doc = Json::obj(vec![
+        ("shards", Json::num(shards)),
+        (
+            "subset",
+            Json::Arr(vec![Json::num(subset.start), Json::num(subset.end)]),
+        ),
+        ("vertex_lo", Json::num(span.start)),
+        ("vertex_hi", Json::num(span.end)),
+        ("num_vertices", Json::num(num_vertices)),
+    ]);
+    http::json(200, doc)
 }
 
 /// Dispatch one request to its endpoint.
@@ -451,243 +508,177 @@ fn route<'s>(
     state: &'s ServerState<'s>,
     scope: &'s std::thread::Scope<'s, '_>,
     req: &http::Request,
-) -> (u16, &'static str, Vec<u8>) {
-    const TEXT: &str = "text/plain; charset=utf-8";
-    const JSON: &str = "application/json";
+) -> Response {
     const OCTETS: &str = "application/octet-stream";
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => (200, TEXT, b"ok\n".to_vec()),
-        ("GET", "/query") => {
-            let Some(line) = req.query_param("q") else {
-                return (400, TEXT, b"error: missing query parameter q\n".to_vec());
-            };
-            match Query::parse(line) {
-                Err(e) => (400, TEXT, format!("error: {e}\n").into_bytes()),
-                Ok(query) => {
-                    let t0 = Instant::now();
-                    let (res, checks) = batch::answer(state.engine, query);
-                    state.record_query(t0.elapsed(), res.is_err(), checks);
-                    match res {
-                        Ok(a) => (200, TEXT, format!("{a}\n").into_bytes()),
-                        Err(e) => (error_status(&e), TEXT, format!("error: {e}\n").into_bytes()),
-                    }
-                }
-            }
-        }
+        ("GET", "/query") => match batch::parse_query_param(req) {
+            Err(e) => http::error(400, e),
+            Ok(query) => respond(state, TEXT, || batch::answer(state.engine, query)),
+        },
         ("GET", "/path") => match crate::path::parse_path_params(req) {
-            Err(e) => (400, TEXT, format!("error: {e}\n").into_bytes()),
-            Ok((from, to, max_depth)) => {
-                let t0 = Instant::now();
-                let res = crate::path::PathFinder::new(state.engine)
-                    .shortest_path(from, to, max_depth);
-                state.record_query(t0.elapsed(), res.is_err(), 0);
-                match res {
-                    Ok(a) => (200, JSON, format!("{}\n", a.to_json()).into_bytes()),
-                    Err(e) => (error_status(&e), TEXT, format!("error: {e}\n").into_bytes()),
-                }
-            }
+            Err(e) => http::error(400, e),
+            Ok((from, to, max_depth)) => respond(state, JSON, || {
+                let finder = crate::path::PathFinder::new(state.engine);
+                (
+                    finder
+                        .shortest_path(from, to, max_depth)
+                        .map(|a| a.to_json()),
+                    0,
+                )
+            }),
         },
         ("GET", "/khop") => match crate::path::parse_khop_params(req) {
-            Err(e) => (400, TEXT, format!("error: {e}\n").into_bytes()),
-            Ok((v, k)) => {
-                let t0 = Instant::now();
-                let res = crate::path::PathFinder::new(state.engine).khop(v, k);
-                state.record_query(t0.elapsed(), res.is_err(), 0);
-                match res {
-                    Ok(a) => (200, JSON, format!("{}\n", a.to_json()).into_bytes()),
-                    Err(e) => (error_status(&e), TEXT, format!("error: {e}\n").into_bytes()),
-                }
-            }
+            Err(e) => http::error(400, e),
+            Ok((v, k)) => respond(state, JSON, || {
+                let finder = crate::path::PathFinder::new(state.engine);
+                (finder.khop(v, k).map(|a| a.to_json()), 0)
+            }),
         },
         ("GET", "/row") => {
-            // The cluster-internal row fetch: raw little-endian u64 words
-            // of one resident adjacency row, straight off the mapping.
-            // Not a query — it bumps `rows_served`, never the engine's
-            // query counter (the *querying* node accounts the query).
+            // The cluster-internal row fetch: one resident adjacency row,
+            // straight off the mapping. Not a query — it bumps
+            // `rows_served`, never the engine's query counter (the
+            // *querying* node accounts the query).
             let set = state.engine.shard_set();
             let (Some(shard), Some(v)) = (req.query_param("shard"), req.query_param("v")) else {
-                return (
-                    400,
-                    TEXT,
-                    b"error: /row needs shard=S and v=V parameters\n".to_vec(),
-                );
+                return http::error(400, "/row needs shard=S and v=V parameters");
             };
             let Ok(shard) = shard.parse::<usize>() else {
-                return (400, TEXT, b"error: shard must be a shard index\n".to_vec());
+                return http::error(400, "shard must be a shard index");
             };
             let Ok(v) = v.parse::<u64>() else {
-                return (400, TEXT, b"error: v must be a vertex id\n".to_vec());
+                return http::error(400, "v must be a vertex id");
             };
             let Some(range) = set.shard_vertices(shard) else {
-                return (
+                let shards = set.num_shards();
+                return http::error(
                     404,
-                    TEXT,
-                    format!(
-                        "error: no shard {shard} in this run ({} shards)\n",
-                        set.num_shards()
-                    )
-                    .into_bytes(),
+                    format!("no shard {shard} in this run ({shards} shards)"),
                 );
             };
             let Some(open) = set.local(shard) else {
                 let subset = set.subset();
-                return (
+                return http::error(
                     404,
-                    TEXT,
                     format!(
-                        "error: shard {shard} is not resident on this node \
-                         (serving {}..{})\n",
+                        "shard {shard} is not resident on this node (serving {}..{})",
                         subset.start, subset.end
-                    )
-                    .into_bytes(),
+                    ),
                 );
             };
             if !range.contains(&v) {
-                return (
+                return http::error(
                     422,
-                    TEXT,
                     format!(
-                        "error: vertex {v} outside shard {shard}'s vertex range \
-                         ({}..{})\n",
+                        "vertex {v} outside shard {shard}'s vertex range ({}..{})",
                         range.start, range.end
-                    )
-                    .into_bytes(),
+                    ),
                 );
             }
-            // in range of a validated resident shard ⇒ the row exists
-            let (ctype, body): (&'static str, Vec<u8>) = if req.query_param("enc") == Some("vd") {
-                // Varint delta body. A csr2 shard hands its encoded bytes
-                // out zero-copy; a v1 shard encodes on the fly, so the
-                // wire saving holds regardless of the on-disk format. Any
-                // other `enc` value (or none) falls through to raw words,
-                // which keeps old fetchers working unchanged.
-                let body = match open.reader.row_bytes_vd(v) {
-                    Some(bytes) => bytes.to_vec(),
-                    None => {
-                        let Some(row) = open.reader.row(v) else {
-                            return (500, TEXT, b"error: resident row unavailable\n".to_vec());
-                        };
-                        let mut out = Vec::new();
+            // `enc=vd` asks for the varint delta body: a csr2 shard hands
+            // its encoded bytes out zero-copy, a v1 shard encodes on the
+            // fly, so the wire saving holds regardless of the on-disk
+            // format. Any other `enc` value (or none) gets raw
+            // little-endian words, which keeps old fetchers working.
+            let vd = req.query_param("enc") == Some("vd");
+            let body = match open.reader.row_bytes_vd(v).filter(|_| vd) {
+                Some(bytes) => bytes.to_vec(),
+                None => {
+                    // in range of a validated resident shard, so only a
+                    // csr2 row that does not decode is missing
+                    let Some(row) = open.reader.row(v) else {
+                        return http::error(500, "resident row unavailable");
+                    };
+                    let mut out = Vec::with_capacity(row.len() * 8);
+                    if vd {
                         kron_stream::encode_row_vd(&row, &mut out);
-                        out
+                    } else {
+                        row.iter()
+                            .for_each(|w| out.extend_from_slice(&w.to_le_bytes()));
                     }
-                };
-                (http::ROW_VD_CONTENT_TYPE, body)
-            } else {
-                let Some(row) = open.reader.row(v) else {
-                    return (500, TEXT, b"error: resident row unavailable\n".to_vec());
-                };
-                let mut body = Vec::with_capacity(row.len() * 8);
-                for &w in &*row {
-                    body.extend_from_slice(&w.to_le_bytes());
+                    out
                 }
-                (OCTETS, body)
             };
             state.rows_served.fetch_add(1, Ordering::Relaxed);
             state
                 .row_wire_bytes
                 .fetch_add(body.len() as u64, Ordering::Relaxed);
+            let ctype = if vd {
+                http::ROW_VD_CONTENT_TYPE
+            } else {
+                OCTETS
+            };
             (200, ctype, body)
         }
         ("GET", "/shards") => {
             // The node's slice of the ownership map — what a router (or a
             // curious operator) needs to route by vertex range.
             let set = state.engine.shard_set();
-            let subset = set.subset();
-            let span = set.subset_vertices();
-            let doc = Json::obj(vec![
-                ("shards", Json::num(set.num_shards())),
-                (
-                    "subset",
-                    Json::Arr(vec![Json::num(subset.start), Json::num(subset.end)]),
-                ),
-                ("vertex_lo", Json::num(span.start)),
-                ("vertex_hi", Json::num(span.end)),
-                ("num_vertices", Json::num(set.num_vertices())),
-            ]);
-            (200, JSON, format!("{doc}\n").into_bytes())
+            shards_doc(
+                set.num_shards(),
+                set.subset(),
+                set.subset_vertices(),
+                set.num_vertices(),
+            )
         }
         ("POST", "/batch") => {
-            let Ok(text) = std::str::from_utf8(&req.body) else {
-                return (400, TEXT, b"error: body is not UTF-8\n".to_vec());
+            let queries = match batch::parse_batch_body(req) {
+                Ok(queries) => queries,
+                Err(e) => return http::error(400, e),
             };
-            match batch::parse_queries(text) {
-                Err(e) => (400, TEXT, format!("error: {e}\n").into_bytes()),
-                Ok(queries) => {
-                    // sequential on purpose: answers come back in input
-                    // order by construction, identical to `run_batch`
-                    // output, and concurrency comes from the connection
-                    // pool rather than intra-batch fan-out
-                    let mut lines = String::new();
-                    for &q in &queries {
-                        let t0 = Instant::now();
-                        let (res, checks) = batch::answer(state.engine, q);
-                        state.record_query(t0.elapsed(), res.is_err(), checks);
-                        match res {
-                            Ok(a) => lines.push_str(&format!("{q} = {a}\n")),
-                            Err(e) => lines.push_str(&format!("{q} = error: {e}\n")),
-                        }
-                        // The request body is capped, but answers amplify
-                        // (one `neighbors <hub>` line can render thousands
-                        // of ids); keep the response bounded too instead
-                        // of buffering gigabytes for one request.
-                        if lines.len() > MAX_BATCH_RESPONSE {
-                            return (
-                                413,
-                                TEXT,
-                                format!(
-                                    "error: batch response exceeds {MAX_BATCH_RESPONSE} \
-                                     bytes — split the batch\n"
-                                )
-                                .into_bytes(),
-                            );
-                        }
-                    }
-                    (200, TEXT, lines.into_bytes())
+            // sequential on purpose: answers come back in input
+            // order by construction, identical to `run_batch`
+            // output, and concurrency comes from the connection
+            // pool rather than intra-batch fan-out
+            let mut lines = String::new();
+            for &q in &queries {
+                match state.timed(|| batch::answer(state.engine, q)) {
+                    Ok(a) => lines.push_str(&format!("{q} = {a}\n")),
+                    Err(e) => lines.push_str(&format!("{q} = error: {e}\n")),
+                }
+                // The request body is capped, but answers amplify
+                // (one `neighbors <hub>` line can render thousands
+                // of ids); keep the response bounded too instead
+                // of buffering gigabytes for one request.
+                if lines.len() > MAX_BATCH_RESPONSE {
+                    return batch_too_large();
                 }
             }
+            (200, TEXT, lines.into_bytes())
         }
-        ("GET", "/stats") => (200, JSON, format!("{}\n", state.stats_json()).into_bytes()),
+        ("GET", "/stats") => http::json(200, state.stats_json()),
         ("GET", "/jobs") => {
             // The listing: every job ever submitted, in submission order,
             // as {id, kernel, state} summaries. Poll `/jobs/<id>` for
             // result documents.
-            (
-                200,
-                JSON,
-                format!("{}\n", state.jobs.list_json()).into_bytes(),
-            )
+            http::json(200, state.jobs.list_json())
         }
         ("POST", "/jobs") => {
             let Ok(text) = std::str::from_utf8(&req.body) else {
-                return (400, TEXT, b"error: body is not UTF-8\n".to_vec());
+                return http::error(400, "body is not UTF-8");
             };
             let spec =
                 match Json::parse(text).and_then(|doc| kron_analyze::KernelSpec::from_json(&doc)) {
-                    Err(e) => return (400, TEXT, format!("error: {e}\n").into_bytes()),
+                    Err(e) => return http::error(400, e),
                     Ok(spec) => spec,
                 };
             let kernel = spec.kernel.name();
             match state.jobs.submit(kernel, spec) {
-                Err((running, cap)) => (
+                Err((running, cap)) => http::json(
                     429,
-                    JSON,
                     format!(
-                        "{{\"error\":\"job pool is full\",\"running\":{running},\
-                         \"cap\":{cap}}}\n"
-                    )
-                    .into_bytes(),
+                        "{{\"error\":\"job pool is full\",\"running\":{running},\"cap\":{cap}}}"
+                    ),
                 ),
                 Ok(entry) => {
                     let id = entry.id;
                     let engine = state.engine;
                     let registry = &state.jobs;
                     scope.spawn(move || crate::jobs::execute(engine, registry, &entry));
-                    (
+                    http::json(
                         202,
-                        JSON,
-                        format!("{{\"id\":{id},\"kernel\":\"{kernel}\",\"state\":\"running\"}}\n")
-                            .into_bytes(),
+                        format!("{{\"id\":{id},\"kernel\":\"{kernel}\",\"state\":\"running\"}}"),
                     )
                 }
             }
@@ -696,51 +687,26 @@ fn route<'s>(
         // must exist (404), then the method must fit (405).
         (method, path) if path.starts_with("/jobs/") => {
             let Ok(id) = path["/jobs/".len()..].parse::<u64>() else {
-                return (
-                    400,
-                    TEXT,
-                    b"error: job id must be a decimal number\n".to_vec(),
-                );
+                return http::error(400, "job id must be a decimal number");
             };
             let Some(job) = state.jobs.lookup(id) else {
-                return (404, TEXT, format!("error: no job {id}\n").into_bytes());
+                return http::error(404, format!("no job {id}"));
             };
             match method {
-                "GET" => (200, JSON, format!("{}\n", job.to_json()).into_bytes()),
+                "GET" => http::json(200, job.to_json()),
                 "DELETE" => {
                     // Idempotent: cancelling a finished (or already
                     // cancelled) job re-raises a flag nobody reads.
                     job.stop.store(true, Ordering::SeqCst);
-                    (
-                        202,
-                        JSON,
-                        format!("{{\"id\":{id},\"cancel_requested\":true}}\n").into_bytes(),
-                    )
+                    http::json(202, format!("{{\"id\":{id},\"cancel_requested\":true}}"))
                 }
-                _ => (
-                    405,
-                    TEXT,
-                    b"error: method not allowed for this endpoint\n".to_vec(),
-                ),
+                _ => http::method_not_allowed(),
             }
         }
-        (
-            _,
-            "/healthz" | "/query" | "/batch" | "/path" | "/khop" | "/stats" | "/row" | "/shards"
-            | "/jobs",
-        ) => (
-            405,
-            TEXT,
-            b"error: method not allowed for this endpoint\n".to_vec(),
-        ),
+        (_, path) if ENDPOINTS.contains(&path) => http::method_not_allowed(),
         // 501 with the endpoint inventory, mirroring the router's
         // catch-all, so a client can tell a typo from a wrong tier.
-        _ => (
-            501,
-            JSON,
-            b"{\"error\":\"not implemented by this node\",\"supported\":[\"/healthz\",\"/query\",\"/batch\",\"/path\",\"/khop\",\"/stats\",\"/row\",\"/shards\",\"/jobs\"]}\n"
-                .to_vec(),
-        ),
+        _ => http::not_implemented("not implemented by this node", &ENDPOINTS, None),
     }
 }
 

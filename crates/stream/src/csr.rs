@@ -113,9 +113,10 @@ pub fn encode_row_vd(row: &[u64], out: &mut Vec<u8>) {
 }
 
 /// Decode a v2 column stream back into columns. `false` if the bytes
-/// are malformed (truncated varint or overflowing delta): the columns
-/// decoded so far are kept, so corrupt input yields a deterministic
-/// short row for checksums and cross-checks to flag, never a panic.
+/// are malformed (truncated varint, a zero gap after the first column —
+/// a repeated column — or an overflowing delta): the columns decoded
+/// before the fault are kept, so corrupt input yields a deterministic
+/// short row for checksums to flag, never a panic.
 pub fn decode_row_vd(bytes: &[u8], out: &mut Vec<u64>) -> bool {
     let mut pos = 0usize;
     let mut prev = 0u64;
@@ -127,7 +128,7 @@ pub fn decode_row_vd(bytes: &[u8], out: &mut Vec<u64>) -> bool {
         let q = if first {
             delta
         } else {
-            match prev.checked_add(delta) {
+            match prev.checked_add(delta).filter(|_| delta > 0) {
                 Some(q) => q,
                 None => return false,
             }
@@ -419,20 +420,23 @@ impl Csr2Reader {
     }
 
     /// The decoded adjacency row of product vertex `p`, or `None` if
-    /// `p` is outside the shard.
+    /// `p` is outside the shard or its bytes do not decode (see
+    /// [`decode_row_vd`]) — a corrupt row is never served as a short one.
     pub fn row(&self, p: u64) -> Option<Vec<u64>> {
-        let bytes = self.row_bytes(p)?;
         let mut out = Vec::new();
-        decode_row_vd(bytes, &mut out);
-        Some(out)
+        decode_row_vd(self.row_bytes(p)?, &mut out).then_some(out)
     }
 
     /// Iterate `(p, row)` pairs in ascending vertex order, decoding one
-    /// row at a time.
+    /// row at a time. A row whose bytes do not decode arrives as its
+    /// decoded prefix, which verification's per-row length check
+    /// rejects.
     pub fn rows(&self) -> impl Iterator<Item = (u64, Vec<u64>)> + '_ {
         (0..self.num_rows).map(move |r| {
             let p = self.vertex_lo + r;
-            (p, self.row(p).expect("in-range row decodes"))
+            let mut row = Vec::new();
+            decode_row_vd(self.row_bytes(p).expect("in-range row"), &mut row);
+            (p, row)
         })
     }
 

@@ -334,7 +334,7 @@ fn large_scale_serving_sources_and_cache() {
     assert!(c.nnz() > 10_000_000, "product must be large: {}", c.nnz());
     let dir = tmpdir("large_scale");
     {
-        let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr);
+        let mut cfg = StreamConfig::new(&dir, OutputFormat::Csr2);
         cfg.shards = 8;
         stream_product(&c, &cfg).unwrap();
     }

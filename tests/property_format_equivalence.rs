@@ -16,7 +16,9 @@ use kron::KronProduct;
 use kron_analyze::{run_kernel, Kernel, KernelSpec};
 use kron_graph::Graph;
 use kron_serve::http::{encode_query_component, Client};
-use kron_serve::{AnswerSource, OpenOptions, PeerSpec, ServeEngine, Server, ServerOptions};
+use kron_serve::{
+    AnswerSource, OpenOptions, PeerSpec, ServeEngine, ServeError, Server, ServerOptions,
+};
 use kron_stream::{compact_run, stream_product, OutputFormat, StreamConfig};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -213,4 +215,63 @@ proptest! {
         std::fs::remove_dir_all(&v1).ok();
         std::fs::remove_dir_all(&v2).ok();
     }
+}
+
+/// A csr2 row whose stream repeats a column — a zero gap — is
+/// corruption, never a short or duplicated row: the decoder rejects it,
+/// the reader serves no row, the verified open fails, and an unverified
+/// engine answers `Corrupt` on every query that needs the row, without
+/// ever admitting it to the row cache.
+#[test]
+fn csr2_zero_gap_is_corruption_on_every_read_path() {
+    let mut prefix = Vec::new();
+    assert!(!kron_stream::decode_row_vd(&[5, 0, 1], &mut prefix));
+    assert_eq!(prefix, [5], "only the columns before the zero gap decode");
+
+    // triangle ⊗ triangle: vertex 4's row {0, 2, 6, 8} is the stream
+    // bytes 00 02 04 02; zeroing the first gap makes it 00 00 04 02
+    let t = Graph::from_edges(3, [(0, 1), (1, 2), (2, 0)]);
+    let c = KronProduct::new(t.clone(), t);
+    assert_eq!(c.neighbors(4), [0, 2, 6, 8]);
+    let dir = stream(&c, OutputFormat::Csr2, 1, "zero_gap");
+    let m = kron_stream::load_manifest(&dir, 0).unwrap();
+    let path = dir.join(m.file.as_deref().unwrap());
+    let mut bytes = std::fs::read(&path).unwrap();
+    let rows = c.num_vertices() as usize;
+    let offset_4 = u64::from_le_bytes(bytes[32 + 8 * 4..32 + 8 * 5].try_into().unwrap());
+    let gap = 32 + 8 * (rows + 1) + offset_4 as usize + 1;
+    assert_eq!(bytes[gap], 2);
+    bytes[gap] = 0;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let reader = kron_stream::CsrMap::open(&path).unwrap();
+    assert!(
+        reader.row(4).is_none(),
+        "a row that does not decode is no row"
+    );
+    assert_eq!(&*reader.row(3).unwrap(), c.neighbors(3).as_slice());
+    assert!(ServeEngine::open_verified(&dir).is_err());
+
+    let e = ServeEngine::open_with(
+        &dir,
+        &OpenOptions {
+            verify_checksums: false,
+            row_cache_bytes: 64 << 10,
+            ..OpenOptions::default()
+        },
+    )
+    .unwrap();
+    for _ in 0..2 {
+        let err = e.degree(4).unwrap_err();
+        assert!(matches!(err, ServeError::Corrupt(_)), "{err}");
+    }
+    let rep = e.routing();
+    assert_eq!((rep.cache_hits, rep.cache_bytes), (0, 0), "{rep}");
+    assert!(matches!(e.neighbors(4), Err(ServeError::Corrupt(_))));
+    // vertex 0 lists 4 as a neighbour: the triangle kernel's row fetch
+    // surfaces the same corruption
+    assert!(c.neighbors(0).contains(&4));
+    assert!(matches!(e.vertex_triangles(0), Err(ServeError::Corrupt(_))));
+    assert_eq!(e.degree(3).unwrap(), c.degree(3), "other rows still answer");
+    std::fs::remove_dir_all(&dir).ok();
 }
