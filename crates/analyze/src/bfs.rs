@@ -31,7 +31,7 @@ const PULL_DIVISOR: u64 = 20;
 /// `bad_column(v, u)` — on a checksummed artifact that can only mean
 /// corruption.
 ///
-/// This is the kernel shared between the analytics BFS ([`push_round`]
+/// This is the kernel shared between the analytics BFS (`push_round`
 /// runs it chunk-parallel over resident shards) and `kron-serve`'s
 /// traversal endpoints, whose row source transparently mixes zero-copy
 /// mapped rows with rows fetched from cluster peers.

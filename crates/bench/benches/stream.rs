@@ -40,6 +40,7 @@ fn bench_stream(c: &mut Criterion) {
                 let mut sink = CsrSink::create(
                     &dir,
                     "bench.csr",
+                    OutputFormat::Csr,
                     spec.stats.vertices.start,
                     prod.row_lengths_in_rows(spec.stats.rows.clone()),
                 )

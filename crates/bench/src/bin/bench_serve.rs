@@ -332,8 +332,15 @@ fn main() {
                     lats.push(q0.elapsed());
                     errors += usize::from(status != 200);
                 }
-                let stats =
-                    QueryStats::from_samples(AnswerSource::Artifact, lats, errors, 0, 1, t0.elapsed(), 0);
+                let stats = QueryStats::from_samples(
+                    AnswerSource::Artifact,
+                    lats,
+                    errors,
+                    0,
+                    1,
+                    t0.elapsed(),
+                    0,
+                );
                 assert_eq!(stats.errors, 0, "server/{kind}: traversals must not fail");
                 print_row("server", kind, &stats);
                 results.push(("server".to_string(), kind, stats));

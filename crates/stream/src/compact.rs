@@ -16,11 +16,12 @@
 //! job — already-converted shards are skipped (and their stale v1
 //! artifact, if a crash left one behind, is removed).
 
-use crate::csr::{file_size_checked, CsrReader};
-use crate::driver::{load_manifest, RUN_FILE};
+use crate::csr::file_size_checked;
+use crate::driver::{load_manifest, load_run, RUN_FILE};
 use crate::manifest::{manifest_name, write_json_atomic, OutputFormat};
-use crate::sink::{Csr2Sink, EdgeSink};
-use crate::{read_json, RunSummary, StreamError};
+use crate::open::open_artifact;
+use crate::sink::{CsrSink, EdgeSink};
+use crate::StreamError;
 use std::path::Path;
 
 /// Outcome of [`compact_run`].
@@ -51,10 +52,6 @@ impl CompactReport {
     }
 }
 
-fn shard_err(shard: usize, msg: String) -> StreamError {
-    StreamError::Shard(shard, msg)
-}
-
 /// Convert a v1 (`csr`) run directory to v2 (`csr2`) in place.
 ///
 /// Safe to re-run: already-converted shards are skipped, a crashed
@@ -69,10 +66,7 @@ fn shard_err(shard: usize, msg: String) -> StreamError {
 /// missing, malformed, or fails to convert; any manifest/summary error
 /// from reading the directory.
 pub fn compact_run(dir: &Path) -> Result<CompactReport, StreamError> {
-    let run_path = dir.join(RUN_FILE);
-    let run_doc = read_json(&run_path).map_err(|e| StreamError::Io(e.to_string()))?;
-    let mut run = RunSummary::from_json(&run_doc)
-        .map_err(|e| StreamError::Manifest(format!("{}: {e}", run_path.display())))?;
+    let mut run = load_run(dir)?;
     if !matches!(run.format, OutputFormat::Csr | OutputFormat::Csr2) {
         return Err(StreamError::Config(format!(
             "{}: run format is {:?}; only csr runs can be compacted",
@@ -91,59 +85,29 @@ pub fn compact_run(dir: &Path) -> Result<CompactReport, StreamError> {
     for index in 0..run.shards {
         let m = load_manifest(dir, index)?;
         if m.shard != index {
-            return Err(shard_err(index, format!("manifest says shard {}", m.shard)));
+            return Err(StreamError::Shard(
+                index,
+                format!("manifest says shard {}", m.shard),
+            ));
         }
         match m.format {
             OutputFormat::Csr2 => {
                 // Already converted (this run resumed). The artifact must
-                // still be there and the right size.
-                let name = m
-                    .file
-                    .as_deref()
-                    .ok_or_else(|| shard_err(index, "csr2 shard has no file".into()))?;
-                let len = std::fs::metadata(dir.join(name))
-                    .map(|md| md.len())
-                    .map_err(|e| shard_err(index, format!("{name}: {e}")))?;
-                if len != m.file_bytes {
-                    return Err(shard_err(
-                        index,
-                        format!(
-                            "{name}: {len} bytes on disk, manifest says {}",
-                            m.file_bytes
-                        ),
-                    ));
-                }
+                // still be there and match its manifest.
+                let (reader, _) = open_artifact(dir, index, &m)?;
                 // A crash between manifest rewrite and v1 deletion can
                 // leave the old artifact behind; finish the job.
                 if let Some(old) = OutputFormat::Csr.artifact_name(index) {
                     let _ = std::fs::remove_file(dir.join(old));
                 }
-                let rows = m.vertices.end - m.vertices.start;
-                let v1_size = u64::try_from(m.entries)
-                    .ok()
-                    .and_then(|nnz| file_size_checked(rows, nnz))
-                    .ok_or_else(|| shard_err(index, "manifest dimensions overflow".into()))?;
+                let v1_size = file_size_checked(reader.num_rows(), reader.nnz())
+                    .ok_or_else(|| StreamError::Shard(index, "v1 size overflows u64".into()))?;
                 report.skipped += 1;
                 report.bytes_before += v1_size;
-                report.bytes_after += len;
+                report.bytes_after += m.file_bytes;
             }
             OutputFormat::Csr => {
-                let name = m
-                    .file
-                    .as_deref()
-                    .ok_or_else(|| shard_err(index, "csr shard has no file".into()))?;
-                let old_path = dir.join(name);
-                let reader =
-                    CsrReader::open(&old_path).map_err(|e| shard_err(index, e.to_string()))?;
-                if reader.vertex_lo() != m.vertices.start
-                    || reader.num_rows() != m.vertices.end - m.vertices.start
-                    || u128::from(reader.nnz()) != m.entries
-                {
-                    return Err(shard_err(
-                        index,
-                        format!("{name}: mapped header disagrees with manifest"),
-                    ));
-                }
+                let (reader, name) = open_artifact(dir, index, &m)?;
                 let name2 = OutputFormat::Csr2
                     .artifact_name(index)
                     .expect("csr2 names artifacts");
@@ -151,15 +115,16 @@ pub fn compact_run(dir: &Path) -> Result<CompactReport, StreamError> {
                 // no factors needed, so compact works on a bare run.
                 let offsets = reader.offsets();
                 let lengths = offsets.windows(2).map(|w| w[1] - w[0]);
-                let mut sink = Csr2Sink::create(dir, &name2, reader.vertex_lo(), lengths)
-                    .map_err(|e| shard_err(index, e.to_string()))?;
+                let mut sink =
+                    CsrSink::create(dir, &name2, OutputFormat::Csr2, reader.vertex_lo(), lengths)
+                        .map_err(|e| StreamError::Shard(index, e.to_string()))?;
                 for (p, q) in reader.entries() {
                     sink.push(p, q)
-                        .map_err(|e| shard_err(index, e.to_string()))?;
+                        .map_err(|e| StreamError::Shard(index, e.to_string()))?;
                 }
                 let (file, bytes) = sink
                     .finish()
-                    .map_err(|e| shard_err(index, e.to_string()))?
+                    .map_err(|e| StreamError::Shard(index, e.to_string()))?
                     .expect("csr2 sink commits a file");
                 // Entries are identical, so the stream hash and every
                 // closed-form statistic carry over untouched.
@@ -168,16 +133,16 @@ pub fn compact_run(dir: &Path) -> Result<CompactReport, StreamError> {
                 m2.file = Some(file);
                 m2.file_bytes = bytes;
                 write_json_atomic(dir, &manifest_name(index), &m2.to_json())
-                    .map_err(|e| shard_err(index, e.to_string()))?;
+                    .map_err(|e| StreamError::Shard(index, e.to_string()))?;
                 drop(reader);
-                std::fs::remove_file(&old_path)
-                    .map_err(|e| shard_err(index, format!("{name}: {e}")))?;
+                std::fs::remove_file(dir.join(name))
+                    .map_err(|e| StreamError::Shard(index, format!("{name}: {e}")))?;
                 report.converted += 1;
                 report.bytes_before += m.file_bytes;
                 report.bytes_after += bytes;
             }
             other => {
-                return Err(shard_err(
+                return Err(StreamError::Shard(
                     index,
                     format!(
                         "manifest format is {}, expected csr or csr2",

@@ -1,41 +1,44 @@
-//! The on-disk CSR shard formats and their mmap-backed readers.
+//! The on-disk CSR shard formats and the one reader that maps both.
 //!
-//! **v1** (`csr`) layout, all integers little-endian `u64`:
+//! Both formats share one layout, all integers little-endian `u64`:
 //!
 //! ```text
 //! offset  size            field
-//! 0       8               magic  b"KRONCSR1"
+//! 0       8               magic     — b"KRONCSR1" (v1, `csr`) or b"KRONCSR2" (v2, `csr2`)
 //! 8       8               vertex_lo — first product vertex of the shard
 //! 16      8               num_rows  — product vertices covered
 //! 24      8               nnz       — adjacency entries in the shard
 //! 32      8·(num_rows+1)  offsets   — local prefix sums, offsets[0] = 0
-//! ...     8·nnz           cols      — column (neighbor) vertex ids
+//! ...                     columns   — column (neighbor) vertex ids
 //! ```
 //!
-//! Row `r` (product vertex `vertex_lo + r`) owns
-//! `cols[offsets[r]..offsets[r+1]]`, sorted ascending. The header starts
-//! every section at an 8-byte boundary, so a page-aligned mapping exposes
-//! both arrays as `&[u64]` without copying.
+//! Row `r` (product vertex `vertex_lo + r`) owns the column section
+//! between `offsets[r]` and `offsets[r+1]`, sorted strictly ascending.
+//! Only the column section differs by format:
 //!
-//! **v2** (`csr2`) keeps the 32-byte header (magic `b"KRONCSR2"`) and the
-//! `num_rows + 1` `u64` offset array, but the offsets are **byte**
-//! positions into a varint delta-encoded column stream that follows:
-//! row `r` owns stream bytes `[offsets[r], offsets[r+1])`, holding its
-//! first column as an absolute LEB128 varint and every later column as
-//! the LEB128 gap to its predecessor (rows are strictly ascending, so
-//! gaps are small and most columns fit in 1–2 bytes instead of 8).
-//! [`Csr2Reader::row`] decodes a row on demand; [`CsrMap`] dispatches on
-//! the magic so every caller handles both formats through one
-//! [`RowRef`]-returning API. v1 stays readable forever.
+//! * **v1** stores every column as a raw `u64` and its offsets count
+//!   entries. The header starts every section at an 8-byte boundary, so
+//!   a page-aligned mapping exposes each row as a `&[u64]` without
+//!   copying.
+//! * **v2** stores each row as LEB128 varints — the first column
+//!   absolute, every later one as the gap to its predecessor — and its
+//!   offsets count bytes. Gaps are small, so most columns take 1–2 bytes
+//!   instead of 8. This is also the `GET /row` wire encoding (`enc=vd`).
+//!
+//! [`CsrMap`] opens either format, checking the header and offset table
+//! once, and serves rows as [`RowRef`]s; [`crate::CsrSink`] writes
+//! either. A private codec is the one place that knows a format's magic,
+//! what its offsets count, and how its columns are written and read.
+//! v1 stays readable forever.
 
+use crate::manifest::OutputFormat;
 use crate::mmap::{as_u64s, Mmap};
 use std::fs::File;
-use std::io;
-use std::io::Read;
+use std::io::{self, Write};
 use std::path::Path;
 use std::sync::Arc;
 
-/// File magic, also the format version.
+/// File magic of the v1 format, also the format version.
 pub const MAGIC: &[u8; 8] = b"KRONCSR1";
 
 /// File magic of the varint delta-encoded v2 format.
@@ -44,37 +47,35 @@ pub const MAGIC2: &[u8; 8] = b"KRONCSR2";
 /// Header size in bytes.
 pub const HEADER: u64 = 32;
 
-/// Exact file size of a shard with the given dimensions, or `None` if
+/// Exact file size of a v1 shard with the given dimensions, or `None` if
 /// the dimensions are corrupt enough to overflow (an attacker- or
 /// corruption-supplied header must not panic the reader).
-///
-/// This is the **only** size computation for the format: there is
-/// deliberately no panicking variant, so header-derived dimensions can
-/// never wrap or abort no matter which call path reaches them.
 pub fn file_size_checked(num_rows: u64, nnz: u64) -> Option<u64> {
-    let offsets = num_rows.checked_add(1)?.checked_mul(8)?;
-    let cols = nnz.checked_mul(8)?;
-    HEADER.checked_add(offsets)?.checked_add(cols)
+    Codec::V1.file_size(num_rows, nnz)
 }
 
-/// Exact file size of a v2 shard with the given dimensions and column
-/// stream length, or `None` on overflow. Same contract as
-/// [`file_size_checked`]: the only size computation for the format, with
-/// no panicking variant.
-pub fn file_size2_checked(num_rows: u64, stream_bytes: u64) -> Option<u64> {
-    let offsets = num_rows.checked_add(1)?.checked_mul(8)?;
-    HEADER.checked_add(offsets)?.checked_add(stream_bytes)
-}
-
-/// Append `x` as an LEB128 varint (7 value bits per byte, high bit set
-/// on every byte but the last). At most 10 bytes for a `u64`.
+/// Encode `x` as an LEB128 varint (7 value bits per byte, high bit set
+/// on every byte but the last) into `buf`, returning the encoded length
+/// — at most 10 bytes for a `u64`. This is the one varint encoder: the
+/// csr2 writer and the `enc=vd` row encoding both go through it.
 #[inline]
-pub fn varint_push(mut x: u64, out: &mut Vec<u8>) {
+pub fn varint_encode(mut x: u64, buf: &mut [u8; 10]) -> usize {
+    let mut len = 0;
     while x >= 0x80 {
-        out.push((x as u8 & 0x7f) | 0x80);
+        buf[len] = (x as u8 & 0x7f) | 0x80;
+        len += 1;
         x >>= 7;
     }
-    out.push(x as u8);
+    buf[len] = x as u8;
+    len + 1
+}
+
+/// Append `x` to `out` as an LEB128 varint (see [`varint_encode`]).
+#[inline]
+pub fn varint_push(x: u64, out: &mut Vec<u8>) {
+    let mut buf = [0u8; 10];
+    let len = varint_encode(x, &mut buf);
+    out.extend_from_slice(&buf[..len]);
 }
 
 /// Decode one LEB128 varint starting at `bytes[*pos]`, advancing `pos`
@@ -101,13 +102,26 @@ pub fn varint_read(bytes: &[u8], pos: &mut usize) -> Option<u64> {
     }
 }
 
+/// Decode the next column of a vd-encoded row at `bytes[*pos]`, given
+/// the row's previous column. `None` at the end of `bytes` and on
+/// corruption: a truncated or overflowing varint, a zero gap (a repeated
+/// column), or a gap that overflows a `u64`.
+#[inline]
+fn vd_next(bytes: &[u8], pos: &mut usize, prev: Option<u64>) -> Option<u64> {
+    let delta = varint_read(bytes, pos)?;
+    match prev {
+        None => Some(delta),
+        Some(prev) => prev.checked_add(delta).filter(|_| delta > 0),
+    }
+}
+
 /// Encode a sorted row as the v2 column stream bytes: first column
 /// absolute, every later column as the gap to its predecessor. This is
 /// also the `GET /row` wire encoding (`enc=vd`).
 pub fn encode_row_vd(row: &[u64], out: &mut Vec<u8>) {
-    let mut prev = 0u64;
-    for (i, &q) in row.iter().enumerate() {
-        varint_push(if i == 0 { q } else { q - prev }, out);
+    let mut prev = 0;
+    for &q in row {
+        varint_push(q - prev, out);
         prev = q;
     }
 }
@@ -118,332 +132,160 @@ pub fn encode_row_vd(row: &[u64], out: &mut Vec<u8>) {
 /// before the fault are kept, so corrupt input yields a deterministic
 /// short row for checksums to flag, never a panic.
 pub fn decode_row_vd(bytes: &[u8], out: &mut Vec<u64>) -> bool {
-    let mut pos = 0usize;
-    let mut prev = 0u64;
-    let mut first = true;
+    let (mut pos, mut prev) = (0, None);
     while pos < bytes.len() {
-        let Some(delta) = varint_read(bytes, &mut pos) else {
+        let Some(q) = vd_next(bytes, &mut pos, prev) else {
             return false;
         };
-        let q = if first {
-            delta
-        } else {
-            match prev.checked_add(delta).filter(|_| delta > 0) {
-                Some(q) => q,
-                None => return false,
-            }
-        };
-        first = false;
         out.push(q);
-        prev = q;
+        prev = Some(q);
     }
     true
 }
 
-/// Zero-copy reader over an on-disk CSR shard.
-///
-/// Opening validates the header against the file length and the offset
-/// array's structure; row access is then slicing into the mapping.
-pub struct CsrReader {
-    map: Mmap,
-    vertex_lo: u64,
-    num_rows: u64,
-    nnz: u64,
+/// What distinguishes the two shard formats: the magic, what an offset
+/// counts, and how a column is written and read. Everything else — the
+/// header, the offset table, row grouping — is shared.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Codec {
+    /// `csr`: raw `u64` columns; offsets count entries.
+    V1,
+    /// `csr2`: varint delta-encoded columns; offsets count bytes.
+    V2,
 }
 
-impl CsrReader {
-    /// Map and validate a CSR shard file.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` for a bad magic, a header that contradicts the file
-    /// size (with overflow-checked arithmetic), or non-monotone offsets;
-    /// any I/O error from opening or mapping the file.
-    pub fn open(path: &Path) -> io::Result<CsrReader> {
-        let file = File::open(path)?;
-        let map = Mmap::map_readonly(&file)?;
-        let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        if map.len() < HEADER as usize {
-            return Err(bad(format!("{}: truncated header", path.display())));
+impl Codec {
+    /// The codec of a CSR output format; `None` for non-CSR formats.
+    pub(crate) fn of(format: OutputFormat) -> Option<Codec> {
+        match format {
+            OutputFormat::Csr => Some(Codec::V1),
+            OutputFormat::Csr2 => Some(Codec::V2),
+            OutputFormat::Edges | OutputFormat::Count => None,
         }
-        if &map[..8] != MAGIC {
-            return Err(bad(format!(
-                "{}: bad magic (not a KRONCSR1 file)",
-                path.display()
-            )));
+    }
+
+    fn format(self) -> OutputFormat {
+        match self {
+            Codec::V1 => OutputFormat::Csr,
+            Codec::V2 => OutputFormat::Csr2,
         }
-        let word = |i: usize| u64::from_le_bytes(map[8 * i..8 * i + 8].try_into().unwrap());
-        let (vertex_lo, num_rows, nnz) = (word(1), word(2), word(3));
-        let expect = file_size_checked(num_rows, nnz)
-            .filter(|&sz| usize::try_from(sz).is_ok())
-            .ok_or_else(|| {
-                bad(format!(
-                    "{}: header dimensions overflow ({num_rows} rows, {nnz} nnz)",
-                    path.display()
-                ))
-            })?;
-        if map.len() as u64 != expect {
-            return Err(bad(format!(
-                "{}: file is {} bytes, header implies {expect}",
-                path.display(),
-                map.len()
-            )));
+    }
+
+    pub(crate) fn magic(self) -> &'static [u8; 8] {
+        match self {
+            Codec::V1 => MAGIC,
+            Codec::V2 => MAGIC2,
         }
-        let reader = CsrReader {
-            map,
-            vertex_lo,
-            num_rows,
-            nnz,
-        };
-        let offsets = reader.offsets();
-        if offsets[0] != 0 || offsets[num_rows as usize] != nnz {
-            return Err(bad(format!(
-                "{}: offset array endpoints corrupt",
-                path.display()
-            )));
+    }
+
+    /// Column-section bytes per offset unit: an offset counts entries
+    /// (8 bytes each) in v1 and bytes in v2.
+    fn unit(self) -> u64 {
+        match self {
+            Codec::V1 => 8,
+            Codec::V2 => 1,
         }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(bad(format!("{}: offsets not monotone", path.display())));
+    }
+
+    /// Exact file size of a shard whose offset table ends at `end`, with
+    /// overflow checks; the only size computation for either format.
+    pub(crate) fn file_size(self, num_rows: u64, end: u64) -> Option<u64> {
+        let table = num_rows.checked_add(1)?.checked_mul(8)?;
+        HEADER
+            .checked_add(table)?
+            .checked_add(end.checked_mul(self.unit())?)
+    }
+
+    /// The size rule on the offset table's end: v1 offsets count
+    /// entries, so the table must end at exactly `nnz`; a v2 entry takes
+    /// at least one stream byte, so the stream must hold `nnz` bytes.
+    fn check_end(self, end: u64, nnz: u64) -> Result<(), String> {
+        match self {
+            Codec::V1 if end != nnz => Err(format!(
+                "offset array ends at {end}, header says {nnz} entries"
+            )),
+            Codec::V2 if end < nnz => Err(format!(
+                "{end}-byte column stream cannot hold {nnz} entries"
+            )),
+            _ => Ok(()),
         }
-        Ok(reader)
     }
 
-    /// First product vertex of the shard.
-    pub fn vertex_lo(&self) -> u64 {
-        self.vertex_lo
-    }
-
-    /// Product vertices covered.
-    pub fn num_rows(&self) -> u64 {
-        self.num_rows
-    }
-
-    /// Adjacency entries stored.
-    pub fn nnz(&self) -> u64 {
-        self.nnz
-    }
-
-    /// The local offset array (`num_rows + 1` entries), zero-copy.
-    pub fn offsets(&self) -> &[u64] {
-        let start = HEADER as usize;
-        let end = start + 8 * (self.num_rows as usize + 1);
-        as_u64s(&self.map[start..end])
-    }
-
-    /// The flat column array, zero-copy.
-    pub fn cols(&self) -> &[u64] {
-        let start = HEADER as usize + 8 * (self.num_rows as usize + 1);
-        as_u64s(&self.map[start..])
-    }
-
-    /// The adjacency row of product vertex `p`, or `None` if `p` is
-    /// outside the shard. Zero-copy slice into the mapping.
-    pub fn row(&self, p: u64) -> Option<&[u64]> {
-        let local = p.checked_sub(self.vertex_lo)?;
-        if local >= self.num_rows {
-            return None;
+    /// Write column `q` of a row, `prev` being the row's previous
+    /// column, and return how far it advances the row's offset.
+    #[inline]
+    pub(crate) fn write_col(
+        self,
+        q: u64,
+        prev: Option<u64>,
+        w: &mut impl Write,
+    ) -> io::Result<u64> {
+        match self {
+            Codec::V1 => {
+                w.write_all(&q.to_le_bytes())?;
+                Ok(1)
+            }
+            Codec::V2 => {
+                let mut buf = [0u8; 10];
+                let len = varint_encode(q - prev.unwrap_or(0), &mut buf);
+                w.write_all(&buf[..len])?;
+                Ok(len as u64)
+            }
         }
-        let offsets = self.offsets();
-        let (lo, hi) = (
-            offsets[local as usize] as usize,
-            offsets[local as usize + 1] as usize,
-        );
-        Some(&self.cols()[lo..hi])
     }
 
-    /// Iterate `(p, row)` pairs in ascending vertex order, one per
-    /// covered product vertex. Each row is a zero-copy sorted slice into
-    /// the mapping — the shard-ordered traversal whole-graph kernels
-    /// stream over.
-    pub fn rows(&self) -> impl Iterator<Item = (u64, &[u64])> + '_ {
-        let offsets = self.offsets();
-        let cols = self.cols();
-        (0..self.num_rows as usize).map(move |r| {
-            (
-                self.vertex_lo + r as u64,
-                &cols[offsets[r] as usize..offsets[r + 1] as usize],
-            )
-        })
+    /// Iterate the columns of a row's bytes without allocating. A v2 row
+    /// that does not decode ends at its decoded prefix.
+    #[inline]
+    fn cols(self, row: &[u8]) -> Cols<'_> {
+        match self {
+            Codec::V1 => Cols::V1(as_u64s(row).iter()),
+            Codec::V2 => Cols::V2 {
+                row,
+                pos: 0,
+                prev: None,
+            },
+        }
     }
 
-    /// Iterate all `(p, q)` entries in row-major order.
-    pub fn entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let offsets = self.offsets();
-        let cols = self.cols();
-        (0..self.num_rows as usize).flat_map(move |r| {
-            let p = self.vertex_lo + r as u64;
-            cols[offsets[r] as usize..offsets[r + 1] as usize]
-                .iter()
-                .map(move |&q| (p, q))
-        })
+    /// A row's columns from its bytes — zero-copy for v1, decoded for
+    /// v2 — and whether they decoded cleanly. A v2 row that does not
+    /// decode arrives as its decoded prefix.
+    #[inline]
+    fn decode(self, row: &[u8]) -> (RowRef<'_>, bool) {
+        match self {
+            Codec::V1 => (RowRef::Mapped(as_u64s(row)), true),
+            Codec::V2 => {
+                let mut cols = Vec::new();
+                let ok = decode_row_vd(row, &mut cols);
+                (RowRef::Decoded(cols), ok)
+            }
+        }
     }
 }
 
-/// Reader over a v2 (varint delta-encoded) CSR shard.
-///
-/// Opening validates the header, the byte-offset array's structure, and
-/// the exact file length; [`Csr2Reader::row`] then decodes one row's
-/// stream slice on demand. Content integrity (row lengths, sortedness,
-/// checksums) is the job of `verify-shards` / checksum-verified opens,
-/// exactly as for v1.
-pub struct Csr2Reader {
-    map: Mmap,
-    vertex_lo: u64,
-    num_rows: u64,
-    nnz: u64,
+/// The columns of one row, read in place (see `Codec::cols`).
+enum Cols<'a> {
+    V1(std::slice::Iter<'a, u64>),
+    V2 {
+        row: &'a [u8],
+        pos: usize,
+        prev: Option<u64>,
+    },
 }
 
-impl Csr2Reader {
-    /// Map and validate a v2 CSR shard file.
-    ///
-    /// # Errors
-    ///
-    /// `InvalidData` for a bad magic, a header or offset array that
-    /// contradicts the file size (overflow-checked), or non-monotone
-    /// byte offsets; any I/O error from opening or mapping the file.
-    pub fn open(path: &Path) -> io::Result<Csr2Reader> {
-        let file = File::open(path)?;
-        let map = Mmap::map_readonly(&file)?;
-        let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
-        if map.len() < HEADER as usize {
-            return Err(bad(format!("{}: truncated header", path.display())));
+impl Iterator for Cols<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        match self {
+            Cols::V1(cols) => cols.next().copied(),
+            Cols::V2 { row, pos, prev } => {
+                *prev = Some(vd_next(row, pos, *prev)?);
+                *prev
+            }
         }
-        if &map[..8] != MAGIC2 {
-            return Err(bad(format!(
-                "{}: bad magic (not a KRONCSR2 file)",
-                path.display()
-            )));
-        }
-        let word = |i: usize| u64::from_le_bytes(map[8 * i..8 * i + 8].try_into().unwrap());
-        let (vertex_lo, num_rows, nnz) = (word(1), word(2), word(3));
-        let table_end = file_size2_checked(num_rows, 0)
-            .filter(|&sz| usize::try_from(sz).is_ok())
-            .ok_or_else(|| {
-                bad(format!(
-                    "{}: header dimensions overflow ({num_rows} rows, {nnz} nnz)",
-                    path.display()
-                ))
-            })?;
-        if (map.len() as u64) < table_end {
-            return Err(bad(format!(
-                "{}: file is {} bytes, too short for {num_rows} row offsets",
-                path.display(),
-                map.len()
-            )));
-        }
-        let reader = Csr2Reader {
-            map,
-            vertex_lo,
-            num_rows,
-            nnz,
-        };
-        let offsets = reader.offsets();
-        let stream_bytes = offsets[num_rows as usize];
-        if offsets[0] != 0 {
-            return Err(bad(format!(
-                "{}: offset array endpoints corrupt",
-                path.display()
-            )));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(bad(format!("{}: offsets not monotone", path.display())));
-        }
-        let expect = file_size2_checked(num_rows, stream_bytes)
-            .filter(|&sz| usize::try_from(sz).is_ok())
-            .ok_or_else(|| {
-                bad(format!(
-                    "{}: offset array overflows ({num_rows} rows, {stream_bytes} stream bytes)",
-                    path.display()
-                ))
-            })?;
-        if reader.map.len() as u64 != expect {
-            return Err(bad(format!(
-                "{}: file is {} bytes, header implies {expect}",
-                path.display(),
-                reader.map.len()
-            )));
-        }
-        // Each stored entry takes at least one stream byte, so a stream
-        // shorter than nnz bytes cannot hold the claimed entries.
-        if stream_bytes < nnz {
-            return Err(bad(format!(
-                "{}: {stream_bytes}-byte column stream cannot hold {nnz} entries",
-                path.display()
-            )));
-        }
-        Ok(reader)
-    }
-
-    /// First product vertex of the shard.
-    pub fn vertex_lo(&self) -> u64 {
-        self.vertex_lo
-    }
-
-    /// Product vertices covered.
-    pub fn num_rows(&self) -> u64 {
-        self.num_rows
-    }
-
-    /// Adjacency entries stored.
-    pub fn nnz(&self) -> u64 {
-        self.nnz
-    }
-
-    /// The byte-offset array (`num_rows + 1` entries), zero-copy.
-    /// Offsets are relative to the column stream's start;
-    /// `offsets[num_rows]` is the stream length.
-    pub fn offsets(&self) -> &[u64] {
-        let start = HEADER as usize;
-        let end = start + 8 * (self.num_rows as usize + 1);
-        as_u64s(&self.map[start..end])
-    }
-
-    /// The varint delta-encoded column stream, zero-copy.
-    pub fn stream(&self) -> &[u8] {
-        &self.map[HEADER as usize + 8 * (self.num_rows as usize + 1)..]
-    }
-
-    /// The still-encoded stream bytes of product vertex `p`'s row, or
-    /// `None` if `p` is outside the shard. Zero-copy: this is what the
-    /// `GET /row` `enc=vd` wire path serves without decoding.
-    pub fn row_bytes(&self, p: u64) -> Option<&[u8]> {
-        let local = p.checked_sub(self.vertex_lo)?;
-        if local >= self.num_rows {
-            return None;
-        }
-        let offsets = self.offsets();
-        let (lo, hi) = (
-            offsets[local as usize] as usize,
-            offsets[local as usize + 1] as usize,
-        );
-        Some(&self.stream()[lo..hi])
-    }
-
-    /// The decoded adjacency row of product vertex `p`, or `None` if
-    /// `p` is outside the shard or its bytes do not decode (see
-    /// [`decode_row_vd`]) — a corrupt row is never served as a short one.
-    pub fn row(&self, p: u64) -> Option<Vec<u64>> {
-        let mut out = Vec::new();
-        decode_row_vd(self.row_bytes(p)?, &mut out).then_some(out)
-    }
-
-    /// Iterate `(p, row)` pairs in ascending vertex order, decoding one
-    /// row at a time. A row whose bytes do not decode arrives as its
-    /// decoded prefix, which verification's per-row length check
-    /// rejects.
-    pub fn rows(&self) -> impl Iterator<Item = (u64, Vec<u64>)> + '_ {
-        (0..self.num_rows).map(move |r| {
-            let p = self.vertex_lo + r;
-            let mut row = Vec::new();
-            decode_row_vd(self.row_bytes(p).expect("in-range row"), &mut row);
-            (p, row)
-        })
-    }
-
-    /// Iterate all `(p, q)` entries in row-major order.
-    pub fn entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.rows()
-            .flat_map(|(p, row)| row.into_iter().map(move |q| (p, q)))
     }
 }
 
@@ -497,111 +339,187 @@ impl From<RowRef<'_>> for Vec<u64> {
     }
 }
 
-/// A mapped CSR shard of either on-disk format, dispatching on the file
-/// magic. Readers above this type ([`crate::ShardSet`], the serving
-/// engine) see one [`RowRef`]-returning row API and never branch on the
-/// format again.
-pub enum CsrMap {
-    /// v1: raw `u64` columns, zero-copy rows.
-    V1(CsrReader),
-    /// v2: varint delta-encoded columns, rows decoded on demand.
-    V2(Csr2Reader),
+/// A mapped, validated CSR shard of either on-disk format.
+///
+/// Opening checks the header and offset table once; row access is then
+/// slicing into the mapping, plus decoding for v2. Readers above this
+/// type ([`crate::ShardSet`], the serving engine) see one
+/// [`RowRef`]-returning row API and never branch on the format. Content
+/// integrity (row lengths, sortedness, checksums) is the job of
+/// `verify-shards` and checksum-verified opens.
+pub struct CsrMap {
+    map: Mmap,
+    codec: Codec,
+    vertex_lo: u64,
+    num_rows: u64,
+    nnz: u64,
 }
 
 impl CsrMap {
-    /// Map and validate a CSR shard file of either format, sniffing the
-    /// 8-byte magic to pick the reader.
+    /// Map and validate a CSR shard file of either format, picking the
+    /// codec from its magic.
     ///
     /// # Errors
     ///
-    /// `InvalidData` for an unrecognized magic or any structural defect
-    /// the format's reader rejects; any I/O error from opening the file.
+    /// `InvalidData` for an unrecognized magic, a header whose vertex
+    /// range or size arithmetic overflows, an offset table that does not
+    /// start at 0 or is not monotone, or a file size that contradicts the
+    /// header and offsets (see [`crate::csr`]); any I/O error from
+    /// opening or mapping the file.
     pub fn open(path: &Path) -> io::Result<CsrMap> {
-        let mut magic = [0u8; 8];
-        let n = File::open(path)?.read(&mut magic)?;
-        match &magic[..n] {
-            m if m == MAGIC => Ok(CsrMap::V1(CsrReader::open(path)?)),
-            m if m == MAGIC2 => Ok(CsrMap::V2(Csr2Reader::open(path)?)),
-            _ => Err(io::Error::new(
+        let map = Mmap::map_readonly(&File::open(path)?)?;
+        let bad = |msg: String| {
+            io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!(
-                    "{}: bad magic (not a KRONCSR1 or KRONCSR2 file)",
-                    path.display()
-                ),
-            )),
+                format!("{}: {msg}", path.display()),
+            )
+        };
+        let codec = [Codec::V1, Codec::V2]
+            .into_iter()
+            .find(|c| map.get(..8) == Some(&c.magic()[..]))
+            .ok_or_else(|| bad("bad magic (not a KRONCSR1 or KRONCSR2 file)".into()))?;
+        if map.len() < HEADER as usize {
+            return Err(bad("truncated header".into()));
+        }
+        let word = |i: usize| u64::from_le_bytes(map[8 * i..8 * i + 8].try_into().unwrap());
+        let (vertex_lo, num_rows, nnz) = (word(1), word(2), word(3));
+        let len = map.len() as u64;
+        let table_end = codec
+            .file_size(num_rows, 0)
+            .filter(|_| vertex_lo.checked_add(num_rows).is_some())
+            .ok_or_else(|| {
+                bad(format!(
+                    "header dimensions overflow ({num_rows} rows from vertex {vertex_lo})"
+                ))
+            })?;
+        if len < table_end {
+            return Err(bad(format!(
+                "file is {len} bytes, too short for {num_rows} row offsets"
+            )));
+        }
+        let shard = CsrMap {
+            map,
+            codec,
+            vertex_lo,
+            num_rows,
+            nnz,
+        };
+        let offsets = shard.offsets();
+        if offsets[0] != 0 {
+            return Err(bad("offset array does not start at 0".into()));
+        }
+        if offsets.windows(2).any(|w| w[0] > w[1]) {
+            return Err(bad("offsets not monotone".into()));
+        }
+        let end = offsets[num_rows as usize];
+        codec.check_end(end, nnz).map_err(bad)?;
+        match codec.file_size(num_rows, end) {
+            Some(expect) if expect == len => Ok(shard),
+            Some(expect) => Err(bad(format!("file is {len} bytes, header implies {expect}"))),
+            None => Err(bad(format!(
+                "offset array overflows ({num_rows} rows, ending at {end})"
+            ))),
         }
     }
 
     /// Whether this shard is the v2 (varint delta-encoded) format.
     pub fn is_v2(&self) -> bool {
-        matches!(self, CsrMap::V2(_))
+        self.codec == Codec::V2
+    }
+
+    /// The shard's output format, `csr` or `csr2`, as its magic says.
+    pub(crate) fn format(&self) -> OutputFormat {
+        self.codec.format()
+    }
+
+    /// Size of the mapped file in bytes.
+    pub(crate) fn file_bytes(&self) -> u64 {
+        self.map.len() as u64
     }
 
     /// First product vertex of the shard.
     pub fn vertex_lo(&self) -> u64 {
-        match self {
-            CsrMap::V1(r) => r.vertex_lo(),
-            CsrMap::V2(r) => r.vertex_lo(),
-        }
+        self.vertex_lo
     }
 
     /// Product vertices covered.
     pub fn num_rows(&self) -> u64 {
-        match self {
-            CsrMap::V1(r) => r.num_rows(),
-            CsrMap::V2(r) => r.num_rows(),
-        }
+        self.num_rows
     }
 
     /// Adjacency entries stored.
     pub fn nnz(&self) -> u64 {
-        match self {
-            CsrMap::V1(r) => r.nnz(),
-            CsrMap::V2(r) => r.nnz(),
-        }
+        self.nnz
+    }
+
+    /// The offset table (`num_rows + 1` entries), zero-copy: entry
+    /// counts for v1, byte positions into the column stream for v2.
+    pub fn offsets(&self) -> &[u64] {
+        let start = HEADER as usize;
+        as_u64s(&self.map[start..start + 8 * (self.num_rows as usize + 1)])
+    }
+
+    /// The column section: raw `u64`s for v1, the varint stream for v2.
+    fn cols(&self) -> &[u8] {
+        &self.map[HEADER as usize + 8 * (self.num_rows as usize + 1)..]
+    }
+
+    /// The column bytes of product vertex `p`'s row, or `None` if `p` is
+    /// outside the shard.
+    fn row_slice(&self, p: u64) -> Option<&[u8]> {
+        let r = p
+            .checked_sub(self.vertex_lo)
+            .filter(|&l| l < self.num_rows)? as usize;
+        let (offsets, unit) = (self.offsets(), self.codec.unit() as usize);
+        Some(&self.cols()[offsets[r] as usize * unit..offsets[r + 1] as usize * unit])
+    }
+
+    /// Every row's product vertex and column bytes, in vertex order.
+    fn row_slices(&self) -> impl Iterator<Item = (u64, &[u8])> + '_ {
+        let (cols, unit) = (self.cols(), self.codec.unit() as usize);
+        let vertices = self.vertex_lo..self.vertex_lo + self.num_rows;
+        (self.offsets().windows(2).zip(vertices))
+            .map(move |(w, p)| (p, &cols[w[0] as usize * unit..w[1] as usize * unit]))
     }
 
     /// The adjacency row of product vertex `p`, or `None` if `p` is
-    /// outside the shard. Zero-copy for v1, decoded for v2.
+    /// outside the shard or its v2 bytes do not decode (see
+    /// [`decode_row_vd`]) — a corrupt row is never served as a short
+    /// one. A zero-copy slice of the mapping for v1.
     pub fn row(&self, p: u64) -> Option<RowRef<'_>> {
-        match self {
-            CsrMap::V1(r) => r.row(p).map(RowRef::Mapped),
-            CsrMap::V2(r) => r.row(p).map(RowRef::Decoded),
-        }
+        let (row, ok) = self.codec.decode(self.row_slice(p)?);
+        ok.then_some(row)
     }
 
     /// `p`'s row in the `enc=vd` wire encoding, zero-copy, if this shard
     /// already stores it that way (v2 only — a v1 caller re-encodes).
     pub fn row_bytes_vd(&self, p: u64) -> Option<&[u8]> {
-        match self {
-            CsrMap::V1(_) => None,
-            CsrMap::V2(r) => r.row_bytes(p),
-        }
+        self.is_v2().then(|| self.row_slice(p)).flatten()
     }
 
     /// Iterate `(p, row)` pairs in ascending vertex order, one per
-    /// covered product vertex — the shard-ordered traversal whole-graph
-    /// kernels stream over.
-    pub fn rows(&self) -> Box<dyn Iterator<Item = (u64, RowRef<'_>)> + '_> {
-        match self {
-            CsrMap::V1(r) => Box::new(r.rows().map(|(p, row)| (p, RowRef::Mapped(row)))),
-            CsrMap::V2(r) => Box::new(r.rows().map(|(p, row)| (p, RowRef::Decoded(row)))),
-        }
+    /// covered product vertex, empty rows included — the shard-ordered
+    /// traversal whole-graph kernels stream over. v1 rows are zero-copy;
+    /// a v2 row whose bytes do not decode arrives as its decoded prefix,
+    /// which verification's per-row length check rejects.
+    pub fn rows(&self) -> impl Iterator<Item = (u64, RowRef<'_>)> + '_ {
+        self.row_slices()
+            .map(|(p, row)| (p, self.codec.decode(row).0))
     }
 
-    /// Iterate all `(p, q)` entries in row-major order.
-    pub fn entries(&self) -> Box<dyn Iterator<Item = (u64, u64)> + '_> {
-        match self {
-            CsrMap::V1(r) => Box::new(r.entries()),
-            CsrMap::V2(r) => Box::new(r.entries()),
-        }
+    /// Iterate all `(p, q)` entries in row-major order, decoding in
+    /// place without allocating. A v2 row that does not decode ends at
+    /// its decoded prefix.
+    pub fn entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.row_slices()
+            .flat_map(|(p, row)| self.codec.cols(row).map(move |q| (p, q)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sink::{Csr2Sink, CsrSink, EdgeSink};
+    use crate::sink::{CsrSink, EdgeSink};
 
     fn tmpdir(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("kron_csr_test_{}_{name}", std::process::id()));
@@ -615,20 +533,21 @@ mod tests {
         let dir = tmpdir("roundtrip");
         // rows: vertex 10: [3, 7]; vertex 11: []; vertex 12: [0]
         let lens = vec![2u64, 0, 1];
-        let mut sink = CsrSink::create(&dir, "s.csr", 10, lens.into_iter()).unwrap();
+        let mut sink =
+            CsrSink::create(&dir, "s.csr", OutputFormat::Csr, 10, lens.into_iter()).unwrap();
         sink.push(10, 3).unwrap();
         sink.push(10, 7).unwrap();
         sink.push(12, 0).unwrap();
         let (name, bytes) = sink.finish().unwrap().unwrap();
         assert_eq!(name, "s.csr");
         assert_eq!(Some(bytes), file_size_checked(3, 3));
-        let r = CsrReader::open(&dir.join("s.csr")).unwrap();
+        let r = CsrMap::open(&dir.join("s.csr")).unwrap();
         assert_eq!(r.vertex_lo(), 10);
         assert_eq!(r.num_rows(), 3);
         assert_eq!(r.nnz(), 3);
-        assert_eq!(r.row(10).unwrap(), &[3, 7]);
-        assert_eq!(r.row(11).unwrap(), &[] as &[u64]);
-        assert_eq!(r.row(12).unwrap(), &[0]);
+        assert_eq!(r.row(10).unwrap(), RowRef::Mapped(&[3, 7]));
+        assert_eq!(r.row(11).unwrap(), RowRef::Mapped(&[]));
+        assert_eq!(r.row(12).unwrap(), RowRef::Mapped(&[0]));
         assert_eq!(r.row(13), None);
         assert_eq!(r.row(9), None);
         assert_eq!(
@@ -646,20 +565,58 @@ mod tests {
     #[test]
     fn csr_sink_rejects_out_of_order_and_overflow() {
         let dir = tmpdir("order");
-        let mut sink = CsrSink::create(&dir, "bad.csr", 0, vec![1u64, 1].into_iter()).unwrap();
+        let mut sink = CsrSink::create(
+            &dir,
+            "bad.csr",
+            OutputFormat::Csr,
+            0,
+            vec![1u64, 1].into_iter(),
+        )
+        .unwrap();
         assert!(
             sink.push(1, 5).is_err(),
             "row 1 before row 0 is filled must fail"
         );
-        let mut sink1 = CsrSink::create(&dir, "bad1.csr", 0, vec![1u64, 1].into_iter()).unwrap();
+        let mut sink1 = CsrSink::create(
+            &dir,
+            "bad1.csr",
+            OutputFormat::Csr,
+            0,
+            vec![1u64, 1].into_iter(),
+        )
+        .unwrap();
         sink1.push(0, 5).unwrap();
         sink1.push(1, 6).unwrap();
         assert!(sink1.push(0, 7).is_err(), "going back a row must fail");
         assert!(sink1.push(2, 7).is_err(), "vertex outside shard must fail");
-        let mut sink2 = CsrSink::create(&dir, "bad2.csr", 0, vec![1u64].into_iter()).unwrap();
+        let mut sink2 = CsrSink::create(
+            &dir,
+            "bad2.csr",
+            OutputFormat::Csr,
+            0,
+            vec![1u64].into_iter(),
+        )
+        .unwrap();
         sink2.push(0, 1).unwrap();
         assert!(sink2.push(0, 2).is_err(), "row overflow must fail");
-        let mut sink3 = CsrSink::create(&dir, "bad3.csr", 0, vec![2u64].into_iter()).unwrap();
+        let mut unsorted = CsrSink::create(
+            &dir,
+            "bad4.csr",
+            OutputFormat::Csr,
+            0,
+            vec![2u64].into_iter(),
+        )
+        .unwrap();
+        unsorted.push(0, 5).unwrap();
+        assert!(unsorted.push(0, 4).is_err(), "rows are strictly ascending");
+        let mut sink3 = CsrSink::create(
+            &dir,
+            "bad3.csr",
+            OutputFormat::Csr,
+            0,
+            vec![2u64].into_iter(),
+        )
+        .unwrap();
         sink3.push(0, 1).unwrap();
         assert!(sink3.finish().is_err(), "underfull finish must fail");
         // failed sinks leave only .tmp files behind
@@ -680,7 +637,7 @@ mod tests {
         bytes.extend_from_slice(&1u64.to_le_bytes()); // nnz
         bytes.extend_from_slice(&0u64.to_le_bytes()); // filler
         std::fs::write(&path, &bytes).unwrap();
-        let err = match CsrReader::open(&path) {
+        let err = match CsrMap::open(&path) {
             Err(e) => e,
             Ok(_) => panic!("overflowing header must not open"),
         };
@@ -754,30 +711,31 @@ mod tests {
         let dir = tmpdir("v2_roundtrip");
         // rows: vertex 10: [3, 7]; vertex 11: []; vertex 12: [0]
         let lens = vec![2u64, 0, 1];
-        let mut sink = Csr2Sink::create(&dir, "s.csr2", 10, lens.into_iter()).unwrap();
+        let mut sink =
+            CsrSink::create(&dir, "s.csr2", OutputFormat::Csr2, 10, lens.into_iter()).unwrap();
         sink.push(10, 3).unwrap();
         sink.push(10, 7).unwrap();
         sink.push(12, 0).unwrap();
         let (name, bytes) = sink.finish().unwrap().unwrap();
         assert_eq!(name, "s.csr2");
         // stream: row 10 = varint(3), varint(4); row 12 = varint(0) → 3 bytes
-        assert_eq!(Some(bytes), file_size2_checked(3, 3));
-        let r = Csr2Reader::open(&dir.join("s.csr2")).unwrap();
+        assert_eq!(bytes, HEADER + 8 * 4 + 3);
+        let r = CsrMap::open(&dir.join("s.csr2")).unwrap();
         assert_eq!(r.vertex_lo(), 10);
         assert_eq!(r.num_rows(), 3);
         assert_eq!(r.nnz(), 3);
         assert_eq!(r.offsets(), &[0, 2, 2, 3]);
-        assert_eq!(r.row(10).unwrap(), vec![3, 7]);
-        assert_eq!(r.row(11).unwrap(), Vec::<u64>::new());
-        assert_eq!(r.row(12).unwrap(), vec![0]);
+        assert_eq!(r.row(10).unwrap(), RowRef::Decoded(vec![3, 7]));
+        assert_eq!(r.row(11).unwrap(), RowRef::Decoded(vec![]));
+        assert_eq!(r.row(12).unwrap(), RowRef::Decoded(vec![0]));
         assert_eq!(r.row(13), None);
         assert_eq!(r.row(9), None);
-        assert_eq!(r.row_bytes(10).unwrap(), &[3u8, 4]);
+        assert_eq!(r.row_bytes_vd(10).unwrap(), &[3u8, 4]);
         assert_eq!(
             r.entries().collect::<Vec<_>>(),
             vec![(10, 3), (10, 7), (12, 0)]
         );
-        let rows: Vec<(u64, Vec<u64>)> = r.rows().collect();
+        let rows: Vec<(u64, Vec<u64>)> = r.rows().map(|(p, row)| (p, row.into())).collect();
         assert_eq!(rows, vec![(10, vec![3, 7]), (11, vec![]), (12, vec![0])]);
     }
 
@@ -785,8 +743,16 @@ mod tests {
     fn csr_map_dispatches_on_magic_and_rows_agree() {
         let dir = tmpdir("map_dispatch");
         let lens = vec![2u64, 0, 1];
-        let mut s1 = CsrSink::create(&dir, "a.csr", 10, lens.clone().into_iter()).unwrap();
-        let mut s2 = Csr2Sink::create(&dir, "a.csr2", 10, lens.into_iter()).unwrap();
+        let mut s1 = CsrSink::create(
+            &dir,
+            "a.csr",
+            OutputFormat::Csr,
+            10,
+            lens.clone().into_iter(),
+        )
+        .unwrap();
+        let mut s2 =
+            CsrSink::create(&dir, "a.csr2", OutputFormat::Csr2, 10, lens.into_iter()).unwrap();
         for (p, q) in [(10, 3), (10, 7), (12, 0)] {
             s1.push(p, q).unwrap();
             s2.push(p, q).unwrap();
@@ -825,11 +791,25 @@ mod tests {
     #[test]
     fn csr2_sink_rejects_unsorted_columns_and_underfill() {
         let dir = tmpdir("v2_order");
-        let mut sink = Csr2Sink::create(&dir, "bad.csr2", 0, vec![3u64].into_iter()).unwrap();
+        let mut sink = CsrSink::create(
+            &dir,
+            "bad.csr2",
+            OutputFormat::Csr2,
+            0,
+            vec![3u64].into_iter(),
+        )
+        .unwrap();
         sink.push(0, 5).unwrap();
         let err = sink.push(0, 5).unwrap_err();
         assert!(err.to_string().contains("strictly ascending"), "{err}");
-        let mut sink2 = Csr2Sink::create(&dir, "bad2.csr2", 0, vec![2u64].into_iter()).unwrap();
+        let mut sink2 = CsrSink::create(
+            &dir,
+            "bad2.csr2",
+            OutputFormat::Csr2,
+            0,
+            vec![2u64].into_iter(),
+        )
+        .unwrap();
         sink2.push(0, 1).unwrap();
         assert!(sink2.finish().is_err(), "underfull finish must fail");
         assert!(!dir.join("bad.csr2").exists());
@@ -848,35 +828,42 @@ mod tests {
         bytes.extend_from_slice(&1u64.to_le_bytes());
         bytes.extend_from_slice(&0u64.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
-        let err = match Csr2Reader::open(&path) {
+        let err = match CsrMap::open(&path) {
             Err(e) => e,
             Ok(_) => panic!("overflowing header must not open"),
         };
         assert!(err.to_string().contains("overflow"), "{err}");
-        assert_eq!(file_size2_checked(u64::MAX, 1), None);
+        assert_eq!(Codec::V2.file_size(u64::MAX, 1), None);
 
-        let mut sink = Csr2Sink::create(&dir, "c.csr2", 0, vec![2u64].into_iter()).unwrap();
+        let mut sink = CsrSink::create(
+            &dir,
+            "c.csr2",
+            OutputFormat::Csr2,
+            0,
+            vec![2u64].into_iter(),
+        )
+        .unwrap();
         sink.push(0, 300).unwrap();
         sink.push(0, 301).unwrap();
         sink.finish().unwrap();
         let path = dir.join("c.csr2");
         let good = std::fs::read(&path).unwrap();
-        // v1 reader refuses a v2 file and vice versa
-        assert!(CsrReader::open(&path).is_err());
+        // the magic, not the file name, picks the format
+        assert!(CsrMap::open(&path).unwrap().is_v2());
         // bad magic
         let mut bad = good.clone();
         bad[7] = b'9';
         std::fs::write(&path, &bad).unwrap();
-        assert!(Csr2Reader::open(&path).is_err());
+        assert!(CsrMap::open(&path).is_err());
         // truncated stream no longer matches the offset table
         std::fs::write(&path, &good[..good.len() - 1]).unwrap();
-        assert!(Csr2Reader::open(&path).is_err());
+        assert!(CsrMap::open(&path).is_err());
         // stream shorter than nnz entries
         let mut bad = good.clone();
         bad[40..48].copy_from_slice(&1u64.to_le_bytes()); // offsets[1] = 1
         bad.truncate(good.len() - 2); // stream shrinks to 1 byte < nnz 2
         std::fs::write(&path, &bad).unwrap();
-        let err = match Csr2Reader::open(&path) {
+        let err = match CsrMap::open(&path) {
             Err(e) => e,
             Ok(_) => panic!("short stream must not open"),
         };
@@ -885,13 +872,14 @@ mod tests {
         let mut bad = good.clone();
         bad[32..40].copy_from_slice(&2u64.to_le_bytes()); // offsets[0] = 2
         std::fs::write(&path, &bad).unwrap();
-        assert!(Csr2Reader::open(&path).is_err());
+        assert!(CsrMap::open(&path).is_err());
     }
 
     #[test]
     fn reader_rejects_corruption() {
         let dir = tmpdir("corrupt");
-        let mut sink = CsrSink::create(&dir, "c.csr", 0, vec![1u64].into_iter()).unwrap();
+        let mut sink =
+            CsrSink::create(&dir, "c.csr", OutputFormat::Csr, 0, vec![1u64].into_iter()).unwrap();
         sink.push(0, 9).unwrap();
         sink.finish().unwrap();
         let path = dir.join("c.csr");
@@ -900,14 +888,14 @@ mod tests {
         let mut bad = good.clone();
         bad[0] = b'X';
         std::fs::write(&path, &bad).unwrap();
-        assert!(CsrReader::open(&path).is_err());
+        assert!(CsrMap::open(&path).is_err());
         // truncated
         std::fs::write(&path, &good[..good.len() - 8]).unwrap();
-        assert!(CsrReader::open(&path).is_err());
+        assert!(CsrMap::open(&path).is_err());
         // offsets endpoint corrupt (nnz in header says 1, offsets say 2)
         let mut bad = good.clone();
         bad[40..48].copy_from_slice(&2u64.to_le_bytes());
         std::fs::write(&path, &bad).unwrap();
-        assert!(CsrReader::open(&path).is_err());
+        assert!(CsrMap::open(&path).is_err());
     }
 }

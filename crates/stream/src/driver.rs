@@ -6,7 +6,7 @@ use crate::manifest::{
     StreamHash,
 };
 use crate::plan::{ShardPlan, ShardSpec};
-use crate::sink::{CountSink, Csr2Sink, CsrSink, EdgeListSink, EdgeSink};
+use crate::sink::{CountSink, CsrSink, EdgeListSink, EdgeSink};
 use crate::StreamError;
 use kron::KronProduct;
 use std::path::{Path, PathBuf};
@@ -135,19 +135,11 @@ fn make_sink<'a>(
     Ok(match format {
         OutputFormat::Count => Box::new(CountSink::default()),
         OutputFormat::Edges => Box::new(EdgeListSink::create(dir, &named()?).map_err(io_err)?),
-        OutputFormat::Csr => Box::new(
+        OutputFormat::Csr | OutputFormat::Csr2 => Box::new(
             CsrSink::create(
                 dir,
                 &named()?,
-                spec.stats.vertices.start,
-                product.row_lengths_in_rows(spec.stats.rows.clone()),
-            )
-            .map_err(io_err)?,
-        ),
-        OutputFormat::Csr2 => Box::new(
-            Csr2Sink::create(
-                dir,
-                &named()?,
+                format,
                 spec.stats.vertices.start,
                 product.row_lengths_in_rows(spec.stats.rows.clone()),
             )
@@ -246,6 +238,22 @@ pub fn load_manifest(dir: &Path, shard: usize) -> Result<ShardManifest, StreamEr
     let doc = read_json(&path).map_err(|e| StreamError::Io(e.to_string()))?;
     ShardManifest::from_json(&doc)
         .map_err(|e| StreamError::Manifest(format!("{}: {e}", path.display())))
+}
+
+/// Read a run directory's `run.json`, with its shard count bounded.
+///
+/// # Errors
+///
+/// [`StreamError::Io`] when the file is missing or unreadable,
+/// [`StreamError::Manifest`] when it does not parse or its shard count is
+/// out of bounds.
+pub(crate) fn load_run(dir: &Path) -> Result<RunSummary, StreamError> {
+    let path = dir.join(RUN_FILE);
+    let doc = read_json(&path).map_err(|e| StreamError::Io(e.to_string()))?;
+    let run = RunSummary::from_json(&doc)
+        .map_err(|e| StreamError::Manifest(format!("{}: {e}", path.display())))?;
+    check_shard_count(run.shards).map_err(|e| StreamError::Manifest(format!("{RUN_FILE}: {e}")))?;
+    Ok(run)
 }
 
 /// Generate all shards of `product` into `cfg.out_dir`.

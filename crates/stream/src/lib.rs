@@ -12,11 +12,11 @@
 //!   communication-free;
 //! * [`EdgeSink`] — where a shard's entries go: an in-memory collector
 //!   ([`MemorySink`]), a buffered binary edge-list writer
-//!   ([`EdgeListSink`], fixed-width little-endian `u64` pairs), a two-pass
-//!   on-disk CSR writer ([`CsrSink`]) with an mmap-backed zero-copy reader
-//!   ([`CsrReader`]), its varint delta-encoded v2 sibling ([`Csr2Sink`] /
-//!   [`Csr2Reader`], roughly 4× smaller on sorted rows, unified behind
-//!   [`CsrMap`] + [`RowRef`]), or a statistics-only counter
+//!   ([`EdgeListSink`], fixed-width little-endian `u64` pairs), an on-disk
+//!   CSR writer ([`CsrSink`]) for both shard formats — v1 raw `u64`
+//!   columns and v2 varint delta-encoded columns, roughly 4× smaller on
+//!   sorted rows — read back by one mmap-backed reader ([`CsrMap`], rows
+//!   as [`RowRef`]s, zero-copy for v1), or a statistics-only counter
 //!   ([`CountSink`]); [`compact_run`] converts a v1 run to v2 in place
 //!   with checksums preserved;
 //! * [`ShardManifest`] — per-shard JSON recording the shard's range, entry
@@ -64,14 +64,14 @@ mod sink;
 mod verify;
 
 pub use compact::{compact_run, CompactReport};
-pub use csr::{decode_row_vd, encode_row_vd, Csr2Reader, CsrMap, CsrReader, RowRef};
+pub use csr::{decode_row_vd, encode_row_vd, CsrMap, RowRef};
 pub use driver::{
     load_manifest, run_shard, stream_product, StreamConfig, FACTOR_A_FILE, FACTOR_B_FILE, RUN_FILE,
 };
 pub use manifest::{manifest_name, read_json, OutputFormat, RunSummary, ShardManifest, StreamHash};
 pub use open::{OpenShard, ShardSet};
 pub use plan::{ShardPlan, ShardSpec, MAX_SHARDS};
-pub use sink::{CountSink, Csr2Sink, CsrSink, EdgeListSink, EdgeSink, MemorySink};
+pub use sink::{CountSink, CsrSink, EdgeListSink, EdgeSink, MemorySink};
 pub use verify::{verify_shards, VerifyReport};
 
 /// Errors of the streaming subsystem.
@@ -148,9 +148,9 @@ mod tests {
         // mmap readers reproduce every adjacency row of the product
         for shard in 0..3 {
             let m = load_manifest(&dir, shard).unwrap();
-            let r = CsrReader::open(&dir.join(m.file.as_deref().unwrap())).unwrap();
+            let r = CsrMap::open(&dir.join(m.file.as_deref().unwrap())).unwrap();
             for p in m.vertices.clone() {
-                assert_eq!(r.row(p).unwrap(), c.neighbors(p).as_slice(), "row {p}");
+                assert_eq!(&*r.row(p).unwrap(), c.neighbors(p).as_slice(), "row {p}");
             }
         }
         std::fs::remove_dir_all(&dir).ok();

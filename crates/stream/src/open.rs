@@ -35,8 +35,8 @@
 //! manifests do not cover the claimed range is rejected at open.
 
 use crate::csr::{CsrMap, RowRef};
-use crate::driver::{load_manifest, RUN_FILE};
-use crate::manifest::{read_json, OutputFormat, RunSummary, ShardManifest, StreamHash};
+use crate::driver::{load_manifest, load_run};
+use crate::manifest::{OutputFormat, RunSummary, ShardManifest, StreamHash};
 use crate::StreamError;
 use std::path::{Path, PathBuf};
 
@@ -153,12 +153,7 @@ impl ShardSet {
         verify: bool,
         subset: Option<std::ops::Range<usize>>,
     ) -> Result<ShardSet, StreamError> {
-        let run_path = dir.join(RUN_FILE);
-        let run_doc = read_json(&run_path).map_err(|e| StreamError::Io(e.to_string()))?;
-        let run = RunSummary::from_json(&run_doc)
-            .map_err(|e| StreamError::Manifest(format!("{}: {e}", run_path.display())))?;
-        crate::driver::check_shard_count(run.shards)
-            .map_err(|e| StreamError::Manifest(format!("run.json: {e}")))?;
+        let run = load_run(dir)?;
         if !matches!(run.format, OutputFormat::Csr | OutputFormat::Csr2) {
             return Err(StreamError::Config(format!(
                 "{}: run format is {:?}; only csr or csr2 shards are queryable in place \
@@ -236,46 +231,12 @@ impl ShardSet {
             if !subset.contains(&index) {
                 continue;
             }
-            let name = manifest
-                .file
-                .as_deref()
-                .ok_or_else(|| StreamError::Shard(index, "csr shard has no file".into()))?;
-            let path = dir.join(name);
-            let reader =
-                CsrMap::open(&path).map_err(|e| StreamError::Shard(index, e.to_string()))?;
-            if reader.is_v2() != (manifest.format == OutputFormat::Csr2) {
+            let (reader, name) = open_artifact(dir, index, &manifest)?;
+            if verify && StreamHash::of(reader.entries()) != manifest.hash {
                 return Err(StreamError::Shard(
                     index,
-                    format!(
-                        "{name}: artifact magic says {}, manifest says {}",
-                        if reader.is_v2() { "csr2" } else { "csr" },
-                        manifest.format.as_str()
-                    ),
+                    format!("{name}: content checksum mismatch"),
                 ));
-            }
-            if reader.vertex_lo() != manifest.vertices.start
-                || reader.num_rows() != manifest.vertices.end - manifest.vertices.start
-                || u128::from(reader.nnz()) != manifest.entries
-            {
-                return Err(StreamError::Shard(
-                    index,
-                    format!("{name}: mapped header disagrees with manifest"),
-                ));
-            }
-            if std::fs::metadata(&path).map(|md| md.len()).ok() != Some(manifest.file_bytes) {
-                return Err(StreamError::Shard(
-                    index,
-                    format!("{name}: size disagrees with manifest file_bytes"),
-                ));
-            }
-            if verify {
-                let hash = StreamHash::of(reader.entries());
-                if hash != manifest.hash {
-                    return Err(StreamError::Shard(
-                        index,
-                        format!("{name}: content checksum mismatch"),
-                    ));
-                }
             }
             shards.push(OpenShard { manifest, reader });
         }
@@ -404,6 +365,48 @@ impl ShardSet {
     pub fn shard_rows(&self, shard: usize) -> Option<impl Iterator<Item = (u64, RowRef<'_>)> + '_> {
         self.local(shard).map(|o| o.reader.rows())
     }
+}
+
+/// Open shard `index`'s CSR artifact and check it against its manifest:
+/// the manifest names a file; the file opens as a structurally valid
+/// `csr` or `csr2` shard ([`CsrMap::open`]); its magic matches the
+/// manifest's `format`; its header matches the manifest's vertex range
+/// and entry count; and its size is the manifest's `file_bytes`. This is
+/// the one artifact check behind [`ShardSet::open`],
+/// [`crate::verify_shards`] and [`crate::compact_run`]. Returns the
+/// reader and the artifact's file name.
+pub(crate) fn open_artifact<'m>(
+    dir: &Path,
+    index: usize,
+    m: &'m ShardManifest,
+) -> Result<(CsrMap, &'m str), StreamError> {
+    let fail = |msg: String| StreamError::Shard(index, msg);
+    let name = m
+        .file
+        .as_deref()
+        .ok_or_else(|| fail(format!("{} shard has no file", m.format.as_str())))?;
+    let reader = CsrMap::open(&dir.join(name)).map_err(|e| fail(e.to_string()))?;
+    if reader.format() != m.format {
+        return Err(fail(format!(
+            "{name}: artifact magic says {}, manifest says {}",
+            reader.format().as_str(),
+            m.format.as_str()
+        )));
+    }
+    let vertices = reader.vertex_lo()..reader.vertex_lo() + reader.num_rows();
+    if vertices != m.vertices || u128::from(reader.nnz()) != m.entries {
+        return Err(fail(format!(
+            "{name}: mapped header disagrees with manifest"
+        )));
+    }
+    if reader.file_bytes() != m.file_bytes {
+        return Err(fail(format!(
+            "{name}: {} bytes on disk, manifest file_bytes says {}",
+            reader.file_bytes(),
+            m.file_bytes
+        )));
+    }
+    Ok((reader, name))
 }
 
 #[cfg(test)]

@@ -2,25 +2,25 @@
 //!
 //! The driver pushes entries in product row-major order (as produced by
 //! `KronProduct::adjacency_entries_in_rows`); a sink persists or collects
-//! them. Three implementations:
+//! them. Four implementations:
 //!
 //! * [`CountSink`] — statistics only, no artifact (generation-rate
 //!   benchmarking and manifest-only validation runs);
 //! * [`MemorySink`] — in-memory collector for tests and small products;
 //! * [`EdgeListSink`] — buffered binary writer, fixed-width little-endian
 //!   `u64` pairs (16 bytes per entry, no header);
-//! * [`CsrSink`] — two-pass on-disk CSR: pass 1 writes the header and the
-//!   closed-form row offsets, pass 2 appends column ids as entries stream
-//!   through. See [`crate::csr`] for the layout.
-//! * [`Csr2Sink`] — the varint delta-encoded v2 format: column gaps
-//!   stream through a LEB128 encoder while a second handle trails behind
-//!   filling in the byte-offset table as each row closes — still O(1)
-//!   memory. See [`crate::csr`] for the layout.
+//! * [`CsrSink`] — either on-disk CSR format (`csr` raw columns, `csr2`
+//!   varint delta-encoded columns): the header goes first, columns stream
+//!   through the format's codec, and a second handle trails behind filling
+//!   in the offset table as each row closes — O(1) memory. See
+//!   [`crate::csr`] for the layouts.
 //!
 //! File-backed sinks write to `<name>.tmp` and rename on
 //! [`EdgeSink::finish`], so a crashed run never leaves a plausible-looking
 //! partial artifact — resume logic treats a missing final file as "redo".
 
+use crate::csr::{Codec, HEADER};
+use crate::manifest::OutputFormat;
 use std::fs::File;
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -133,148 +133,24 @@ impl EdgeSink for EdgeListSink {
     }
 }
 
-/// Two-pass on-disk CSR writer.
+/// Streaming writer for both CSR shard formats (see [`crate::csr`]).
 ///
-/// Pass 1 happens at construction: the header and the complete offset
-/// array are written up front from the *closed-form* row lengths
-/// (`rowlen_C(i·n_B + k) = rowlen_A(i)·rowlen_B(k)` — no scan of the
-/// product needed). Pass 2 is the streaming pass: each pushed entry
-/// appends its column id, with the row grouping validated against a
-/// second walk of the same closed-form length iterator — **O(1) memory**
-/// regardless of shard size; nothing but the file grows with the shard.
+/// Construction writes the header — its totals come from the
+/// *closed-form* row lengths (`rowlen_C(i·n_B + k) = rowlen_A(i)·rowlen_B(k)`,
+/// no scan of the product needed) — and zero-fills the offset table. Each
+/// pushed entry then appends its column to the main handle in the
+/// format's encoding, while a **second** handle, parked at the offset
+/// table, fills in the real offsets as each row closes. The row grouping
+/// is validated against a second walk of the same closed-form length
+/// iterator, so the writer holds **O(1) memory** regardless of shard
+/// size. Columns within a row must arrive strictly ascending; the
+/// generator's row-major sorted stream satisfies this by construction.
 pub struct CsrSink<I: Iterator<Item = u64>> {
     dir: PathBuf,
     name: String,
     tmp: PathBuf,
-    writer: BufWriter<File>,
-    vertex_lo: u64,
-    num_rows: u64,
-    nnz: u64,
-    /// Entries written so far (must end at `nnz`).
-    written: u64,
-    /// Lengths of the rows after the current one (validation source).
-    lengths: I,
-    /// Row currently being filled (local index; meaningless when
-    /// `num_rows == 0`).
-    current_row: u64,
-    /// Entries the current row still accepts.
-    remaining: u64,
-}
-
-impl<I: Iterator<Item = u64> + Clone> CsrSink<I> {
-    /// Write header + offsets (pass 1) from closed-form row lengths.
-    ///
-    /// `vertex_lo` is the first product vertex of the shard; `row_lengths`
-    /// yields the adjacency-row length of each vertex in the shard, in
-    /// order. The iterator is walked three times (totals, offsets,
-    /// streaming validation) — closed-form generators make each walk
-    /// cheap, and no per-row state is ever buffered in memory.
-    pub fn create(
-        dir: &Path,
-        name: &str,
-        vertex_lo: u64,
-        row_lengths: I,
-    ) -> io::Result<CsrSink<I>> {
-        let (tmp, mut writer) = tmp_writer(dir, name)?;
-        // pass over the lengths once for the header totals…
-        let (mut num_rows, mut nnz) = (0u64, 0u64);
-        for len in row_lengths.clone() {
-            num_rows += 1;
-            nnz = nnz
-                .checked_add(len)
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "shard nnz > u64"))?;
-        }
-        writer.write_all(crate::csr::MAGIC)?;
-        writer.write_all(&vertex_lo.to_le_bytes())?;
-        writer.write_all(&num_rows.to_le_bytes())?;
-        writer.write_all(&nnz.to_le_bytes())?;
-        // …and again to stream the prefix sums straight to disk.
-        let mut acc = 0u64;
-        writer.write_all(&acc.to_le_bytes())?;
-        for len in row_lengths.clone() {
-            acc += len;
-            writer.write_all(&acc.to_le_bytes())?;
-        }
-        let mut lengths = row_lengths;
-        let remaining = lengths.next().unwrap_or(0);
-        Ok(CsrSink {
-            dir: dir.to_path_buf(),
-            name: name.to_string(),
-            tmp,
-            writer,
-            vertex_lo,
-            num_rows,
-            nnz,
-            written: 0,
-            lengths,
-            current_row: 0,
-            remaining,
-        })
-    }
-}
-
-impl<I: Iterator<Item = u64>> EdgeSink for CsrSink<I> {
-    fn push(&mut self, p: u64, q: u64) -> io::Result<()> {
-        let local = p.checked_sub(self.vertex_lo).filter(|&l| l < self.num_rows);
-        let local = local.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("vertex {p} outside shard starting at {}", self.vertex_lo),
-            )
-        })?;
-        // advance over rows already complete (possibly empty rows)
-        while self.current_row < local && self.remaining == 0 {
-            self.current_row += 1;
-            self.remaining = self.lengths.next().unwrap_or(0);
-        }
-        if local != self.current_row || self.remaining == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "entry for vertex {p} out of row-major order or exceeds its closed-form row length"
-                ),
-            ));
-        }
-        self.writer.write_all(&q.to_le_bytes())?;
-        self.remaining -= 1;
-        self.written += 1;
-        Ok(())
-    }
-
-    fn finish(&mut self) -> io::Result<Option<(String, u64)>> {
-        if self.written != self.nnz {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "CSR shard incomplete: wrote {} of {} entries",
-                    self.written, self.nnz
-                ),
-            ));
-        }
-        let bytes = commit(&self.dir, &self.name, &self.tmp, &mut self.writer)?;
-        debug_assert_eq!(
-            Some(bytes),
-            crate::csr::file_size_checked(self.num_rows, self.nnz)
-        );
-        Ok(Some((self.name.clone(), bytes)))
-    }
-}
-
-/// Streaming writer for the v2 (varint delta-encoded) CSR format.
-///
-/// Pass 1 at construction writes the header and zero-fills the byte-offset
-/// table from the closed-form row count. The streaming pass appends each
-/// column as a LEB128 varint gap to the main handle while a **second**
-/// handle, parked at the offset table, fills in the real byte offsets as
-/// each row closes — so like [`CsrSink`] the writer holds O(1) memory no
-/// matter how many rows the shard has. Columns within a row must arrive
-/// strictly ascending (the format stores gaps); the generator's row-major
-/// sorted stream satisfies this by construction.
-pub struct Csr2Sink<I: Iterator<Item = u64>> {
-    dir: PathBuf,
-    name: String,
-    tmp: PathBuf,
-    /// Appends the column stream past the offset table.
+    codec: Codec,
+    /// Appends the column section past the offset table.
     writer: BufWriter<File>,
     /// Trails behind, overwriting the zero-filled offset table.
     offsets: BufWriter<File>,
@@ -290,31 +166,46 @@ pub struct Csr2Sink<I: Iterator<Item = u64>> {
     current_row: u64,
     /// Entries the current row still accepts.
     remaining: u64,
-    /// Column-stream bytes emitted so far (the next row boundary).
-    stream_bytes: u64,
+    /// Offset at which the current row ends so far (entries for v1,
+    /// stream bytes for v2).
+    offset: u64,
     /// Last column written to the current row, if any.
     prev_col: Option<u64>,
 }
 
-impl<I: Iterator<Item = u64> + Clone> Csr2Sink<I> {
-    /// Write header + zeroed offset table (pass 1) and open the trailing
-    /// offset handle. Same contract as [`CsrSink::create`]: `row_lengths`
-    /// yields closed-form row lengths and is walked three times.
+impl<I: Iterator<Item = u64> + Clone> CsrSink<I> {
+    /// Write the header and a zeroed offset table for a shard in
+    /// `format` (`csr` or `csr2`), and open the trailing offset handle.
+    ///
+    /// `vertex_lo` is the first product vertex of the shard; `row_lengths`
+    /// yields the adjacency-row length of each vertex in the shard, in
+    /// order. The iterator is walked twice (totals, streaming validation)
+    /// — closed-form generators make each walk cheap, and no per-row
+    /// state is ever buffered in memory.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` for a non-CSR `format` or row lengths summing past
+    /// `u64`; any I/O error creating the artifact file.
     pub fn create(
         dir: &Path,
         name: &str,
+        format: OutputFormat,
         vertex_lo: u64,
         row_lengths: I,
-    ) -> io::Result<Csr2Sink<I>> {
+    ) -> io::Result<CsrSink<I>> {
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
+        let codec = Codec::of(format)
+            .ok_or_else(|| invalid(format!("{} is not a CSR format", format.as_str())))?;
         let (tmp, mut writer) = tmp_writer(dir, name)?;
         let (mut num_rows, mut nnz) = (0u64, 0u64);
         for len in row_lengths.clone() {
             num_rows += 1;
             nnz = nnz
                 .checked_add(len)
-                .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "shard nnz > u64"))?;
+                .ok_or_else(|| invalid("shard nnz > u64".into()))?;
         }
-        writer.write_all(crate::csr::MAGIC2)?;
+        writer.write_all(codec.magic())?;
         writer.write_all(&vertex_lo.to_le_bytes())?;
         writer.write_all(&num_rows.to_le_bytes())?;
         writer.write_all(&nnz.to_le_bytes())?;
@@ -326,15 +217,16 @@ impl<I: Iterator<Item = u64> + Clone> Csr2Sink<I> {
         // buffered zeros could clobber real offsets.
         writer.flush()?;
         let mut offsets_file = std::fs::OpenOptions::new().write(true).open(&tmp)?;
-        offsets_file.seek(SeekFrom::Start(crate::csr::HEADER))?;
+        offsets_file.seek(SeekFrom::Start(HEADER))?;
         let mut offsets = BufWriter::with_capacity(1 << 16, offsets_file);
         offsets.write_all(&0u64.to_le_bytes())?; // offsets[0]
         let mut lengths = row_lengths;
         let remaining = lengths.next().unwrap_or(0);
-        Ok(Csr2Sink {
+        Ok(CsrSink {
             dir: dir.to_path_buf(),
             name: name.to_string(),
             tmp,
+            codec,
             writer,
             offsets,
             vertex_lo,
@@ -344,61 +236,49 @@ impl<I: Iterator<Item = u64> + Clone> Csr2Sink<I> {
             lengths,
             current_row: 0,
             remaining,
-            stream_bytes: 0,
+            offset: 0,
             prev_col: None,
         })
     }
 }
 
-impl<I: Iterator<Item = u64>> EdgeSink for Csr2Sink<I> {
+impl<I: Iterator<Item = u64>> CsrSink<I> {
+    /// Close the current row: its end offset goes to the table.
+    fn close_row(&mut self) -> io::Result<()> {
+        self.offsets.write_all(&self.offset.to_le_bytes())?;
+        self.prev_col = None;
+        self.current_row += 1;
+        self.remaining = self.lengths.next().unwrap_or(0);
+        Ok(())
+    }
+}
+
+impl<I: Iterator<Item = u64>> EdgeSink for CsrSink<I> {
     fn push(&mut self, p: u64, q: u64) -> io::Result<()> {
+        let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
         let local = p.checked_sub(self.vertex_lo).filter(|&l| l < self.num_rows);
         let local = local.ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("vertex {p} outside shard starting at {}", self.vertex_lo),
-            )
+            invalid(format!(
+                "vertex {p} outside shard starting at {}",
+                self.vertex_lo
+            ))
         })?;
         // advance over rows already complete (possibly empty rows)
         while self.current_row < local && self.remaining == 0 {
-            self.offsets.write_all(&self.stream_bytes.to_le_bytes())?;
-            self.prev_col = None;
-            self.current_row += 1;
-            self.remaining = self.lengths.next().unwrap_or(0);
+            self.close_row()?;
         }
         if local != self.current_row || self.remaining == 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "entry for vertex {p} out of row-major order or exceeds its closed-form row length"
-                ),
-            ));
+            return Err(invalid(format!(
+                "entry for vertex {p} out of row-major order or exceeds its closed-form row length"
+            )));
         }
-        let gap = match self.prev_col {
-            None => q,
-            Some(prev) if q > prev => q - prev,
-            Some(prev) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!(
-                        "columns of vertex {p} not strictly ascending ({q} after {prev}); \
-                         csr2 stores gaps and requires sorted rows"
-                    ),
-                ));
-            }
-        };
-        let mut buf = [0u8; 10];
-        let mut len = 0;
-        let mut x = gap;
-        while x >= 0x80 {
-            buf[len] = (x as u8 & 0x7f) | 0x80;
-            len += 1;
-            x >>= 7;
+        if let Some(prev) = self.prev_col.filter(|&prev| q <= prev) {
+            return Err(invalid(format!(
+                "columns of vertex {p} not strictly ascending ({q} after {prev}); \
+                 CSR rows are sorted and csr2 stores gaps"
+            )));
         }
-        buf[len] = x as u8;
-        len += 1;
-        self.writer.write_all(&buf[..len])?;
-        self.stream_bytes += len as u64;
+        self.offset += self.codec.write_col(q, self.prev_col, &mut self.writer)?;
         self.prev_col = Some(q);
         self.remaining -= 1;
         self.written += 1;
@@ -416,20 +296,18 @@ impl<I: Iterator<Item = u64>> EdgeSink for Csr2Sink<I> {
             ));
         }
         // close every remaining row (all empty once nnz entries landed)
-        let open_rows = if self.num_rows == 0 {
-            0
-        } else {
-            self.num_rows - self.current_row
-        };
-        for _ in 0..open_rows {
-            self.offsets.write_all(&self.stream_bytes.to_le_bytes())?;
+        while self.current_row < self.num_rows {
+            self.close_row()?;
         }
+        // Both handles are flushed before either syncs, so the first sync
+        // makes the whole file durable and the second finds nothing left.
         self.offsets.flush()?;
+        self.writer.flush()?;
         self.offsets.get_ref().sync_all()?;
         let bytes = commit(&self.dir, &self.name, &self.tmp, &mut self.writer)?;
         debug_assert_eq!(
             Some(bytes),
-            crate::csr::file_size2_checked(self.num_rows, self.stream_bytes)
+            self.codec.file_size(self.num_rows, self.offset)
         );
         Ok(Some((self.name.clone(), bytes)))
     }

@@ -2,9 +2,9 @@
 //! shard is re-checked against the closed-form factor statistics and its
 //! on-disk artifact.
 
-use crate::csr::CsrMap;
-use crate::driver::{load_manifest, RUN_FILE};
-use crate::manifest::{read_json, OutputFormat, RunSummary, StreamHash};
+use crate::driver::{load_manifest, load_run};
+use crate::manifest::{OutputFormat, StreamHash};
+use crate::open::open_artifact;
 use crate::plan::ShardPlan;
 use crate::StreamError;
 use kron::KronProduct;
@@ -25,10 +25,6 @@ pub struct VerifyReport {
     pub rehashed: bool,
 }
 
-fn shard_err(shard: usize, msg: String) -> StreamError {
-    StreamError::Shard(shard, msg)
-}
-
 /// Verify a run directory produced by [`crate::stream_product`].
 ///
 /// Checks, per shard: the manifest's closed-form statistics against a
@@ -46,12 +42,7 @@ fn shard_err(shard: usize, msg: String) -> StreamError {
 /// The first failing check, always naming the offending manifest or
 /// artifact file and the shard index.
 pub fn verify_shards(dir: &Path, rehash: bool) -> Result<VerifyReport, StreamError> {
-    let run_path = dir.join(RUN_FILE);
-    let run_doc = read_json(&run_path).map_err(|e| StreamError::Io(e.to_string()))?;
-    let run = RunSummary::from_json(&run_doc)
-        .map_err(|e| StreamError::Manifest(format!("{}: {e}", run_path.display())))?;
-    crate::driver::check_shard_count(run.shards)
-        .map_err(|e| StreamError::Manifest(format!("run.json: {e}")))?;
+    let run = load_run(dir)?;
 
     let load = |name: &str| {
         kron_graph::read_edge_list_path(dir.join(name))
@@ -76,7 +67,7 @@ pub fn verify_shards(dir: &Path, rehash: bool) -> Result<VerifyReport, StreamErr
     for spec in plan.iter() {
         let m = load_manifest(dir, spec.index)?;
         if m.format != run.format {
-            return Err(shard_err(
+            return Err(StreamError::Shard(
                 spec.index,
                 format!(
                     "manifest format {} != run format {}",
@@ -95,21 +86,23 @@ pub fn verify_shards(dir: &Path, rehash: bool) -> Result<VerifyReport, StreamErr
         match m.format {
             OutputFormat::Count => {
                 if m.file.is_some() {
-                    return Err(shard_err(spec.index, "count shard names a file".into()));
+                    return Err(StreamError::Shard(
+                        spec.index,
+                        "count shard names a file".into(),
+                    ));
                 }
             }
             OutputFormat::Edges => {
-                let name = m
-                    .file
-                    .as_deref()
-                    .ok_or_else(|| shard_err(spec.index, "edges shard has no file".into()))?;
+                let name = m.file.as_deref().ok_or_else(|| {
+                    StreamError::Shard(spec.index, "edges shard has no file".into())
+                })?;
                 let path = dir.join(name);
                 let len = std::fs::metadata(&path)
-                    .map_err(|e| shard_err(spec.index, format!("{name}: {e}")))?
+                    .map_err(|e| StreamError::Shard(spec.index, format!("{name}: {e}")))?
                     .len();
                 let expect = (m.entries as u64).saturating_mul(16);
                 if len != m.file_bytes {
-                    return Err(shard_err(
+                    return Err(StreamError::Shard(
                         spec.index,
                         format!(
                             "{name}: {len} bytes on disk, manifest file_bytes says {}",
@@ -118,7 +111,7 @@ pub fn verify_shards(dir: &Path, rehash: bool) -> Result<VerifyReport, StreamErr
                     ));
                 }
                 if len != expect {
-                    return Err(shard_err(
+                    return Err(StreamError::Shard(
                         spec.index,
                         format!(
                             "{name}: {len} bytes on disk, {} entries imply {expect}",
@@ -129,17 +122,17 @@ pub fn verify_shards(dir: &Path, rehash: bool) -> Result<VerifyReport, StreamErr
                 artifact_bytes += len;
                 let mut hash = StreamHash::default();
                 let file = std::fs::File::open(&path)
-                    .map_err(|e| shard_err(spec.index, format!("{name}: {e}")))?;
+                    .map_err(|e| StreamError::Shard(spec.index, format!("{name}: {e}")))?;
                 let mut reader = std::io::BufReader::with_capacity(1 << 20, file);
                 let mut buf = [0u8; 16];
                 for _ in 0..m.entries {
                     reader
                         .read_exact(&mut buf)
-                        .map_err(|e| shard_err(spec.index, format!("{name}: {e}")))?;
+                        .map_err(|e| StreamError::Shard(spec.index, format!("{name}: {e}")))?;
                     let p = u64::from_le_bytes(buf[..8].try_into().unwrap());
                     let q = u64::from_le_bytes(buf[8..].try_into().unwrap());
                     if !spec.stats.vertices.contains(&p) {
-                        return Err(shard_err(
+                        return Err(StreamError::Shard(
                             spec.index,
                             format!("{name}: source vertex {p} outside shard range"),
                         ));
@@ -147,44 +140,16 @@ pub fn verify_shards(dir: &Path, rehash: bool) -> Result<VerifyReport, StreamErr
                     hash.update(p, q);
                 }
                 if hash != m.hash {
-                    return Err(shard_err(
+                    return Err(StreamError::Shard(
                         spec.index,
                         format!("{name}: content checksum mismatch"),
                     ));
                 }
             }
             OutputFormat::Csr | OutputFormat::Csr2 => {
-                let name = m.file.as_deref().ok_or_else(|| {
-                    shard_err(
-                        spec.index,
-                        format!("{} shard has no file", m.format.as_str()),
-                    )
-                })?;
-                let path = dir.join(name);
-                let reader =
-                    CsrMap::open(&path).map_err(|e| shard_err(spec.index, e.to_string()))?;
-                if reader.is_v2() != (m.format == OutputFormat::Csr2) {
-                    return Err(shard_err(
-                        spec.index,
-                        format!(
-                            "{name}: artifact magic says {}, manifest says {}",
-                            if reader.is_v2() { "csr2" } else { "csr" },
-                            m.format.as_str()
-                        ),
-                    ));
-                }
-                if reader.vertex_lo() != spec.stats.vertices.start
-                    || reader.num_rows() != spec.stats.vertices.end - spec.stats.vertices.start
-                    || reader.nnz() as u128 != m.entries
-                {
-                    return Err(shard_err(
-                        spec.index,
-                        format!("{name}: header disagrees with manifest"),
-                    ));
-                }
-                if std::fs::metadata(&path).map(|md| md.len()).ok() != Some(m.file_bytes) {
-                    return Err(shard_err(spec.index, format!("{name}: size mismatch")));
-                }
+                // the manifest matches the plan (checked above), so the
+                // artifact check against the manifest covers the plan too
+                let (reader, name) = open_artifact(dir, spec.index, &m)?;
                 artifact_bytes += m.file_bytes;
                 // one pass over the rows of either format: per-row
                 // lengths against the closed form, strict column order
@@ -195,7 +160,7 @@ pub fn verify_shards(dir: &Path, rehash: bool) -> Result<VerifyReport, StreamErr
                 for (p, row) in reader.rows() {
                     let want = lengths.next().unwrap_or(0);
                     if row.len() as u64 != want {
-                        return Err(shard_err(
+                        return Err(StreamError::Shard(
                             spec.index,
                             format!(
                                 "{name}: row {p} has {} entries, closed form says {want}",
@@ -206,7 +171,7 @@ pub fn verify_shards(dir: &Path, rehash: bool) -> Result<VerifyReport, StreamErr
                     let mut prev: Option<u64> = None;
                     for &q in row.iter() {
                         if prev.is_some_and(|pq| pq >= q) {
-                            return Err(shard_err(
+                            return Err(StreamError::Shard(
                                 spec.index,
                                 format!("{name}: row {p} columns not strictly ascending"),
                             ));
@@ -216,7 +181,7 @@ pub fn verify_shards(dir: &Path, rehash: bool) -> Result<VerifyReport, StreamErr
                     }
                 }
                 if hash != m.hash {
-                    return Err(shard_err(
+                    return Err(StreamError::Shard(
                         spec.index,
                         format!("{name}: content checksum mismatch"),
                     ));
@@ -227,7 +192,7 @@ pub fn verify_shards(dir: &Path, rehash: bool) -> Result<VerifyReport, StreamErr
         if rehash {
             let regen = StreamHash::of(product.adjacency_entries_in_rows(spec.stats.rows.clone()));
             if regen != m.hash {
-                return Err(shard_err(
+                return Err(StreamError::Shard(
                     spec.index,
                     "regenerated stream checksum disagrees with manifest".into(),
                 ));

@@ -8,7 +8,7 @@
 //! convention (Rem. 3: a triangle never uses a self loop), plus the
 //! wedge-check accounting the paper's §VI reports.
 //!
-//! Rows must be sorted ascending — exactly what `kron_stream::CsrReader`
+//! Rows must be sorted ascending — exactly what `kron_stream::CsrMap`
 //! guarantees (and `verify-shards` re-checks) for every shard row.
 
 /// Whether a sorted row contains `v` (binary search).

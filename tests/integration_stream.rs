@@ -6,7 +6,7 @@ use kron::KronProduct;
 use kron_gen::{rmat, RmatParams};
 use kron_graph::Graph;
 use kron_stream::{
-    load_manifest, run_shard, stream_product, verify_shards, CsrReader, MemorySink, OutputFormat,
+    load_manifest, run_shard, stream_product, verify_shards, CsrMap, MemorySink, OutputFormat,
     ShardPlan, StreamConfig,
 };
 use proptest::prelude::*;
@@ -92,9 +92,9 @@ fn csr_artifacts_roundtrip_bit_exactly() {
     let mut seen_rows = 0u64;
     for shard in 0..cfg.shards {
         let m = load_manifest(&dir, shard).unwrap();
-        let r = CsrReader::open(&dir.join(m.file.as_deref().unwrap())).unwrap();
+        let r = CsrMap::open(&dir.join(m.file.as_deref().unwrap())).unwrap();
         for p in m.vertices.clone() {
-            assert_eq!(r.row(p).unwrap(), c.neighbors(p).as_slice(), "row {p}");
+            assert_eq!(&*r.row(p).unwrap(), c.neighbors(p).as_slice(), "row {p}");
             seen_rows += 1;
         }
     }
